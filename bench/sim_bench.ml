@@ -3,14 +3,15 @@
    Per-component metrics, so a regression names its culprit instead of
    showing up as one opaque events/s delta:
 
-   - interp_compiled (the headline): events/s interpreting the Pi
-     Pthread program at 1024 threads under the closure-compiled
-     interpreter — the configuration every ROADMAP sweep item is gated
-     on.  "Events" are scheduler resumes (Scc.Engine.events), a pure
-     function of the simulated schedule, so the rate is comparable
-     across implementations that produce the same results.
-   - interp_tree: the same run under the tree-walking reference
-     interpreter.  compiled/tree is the measured compilation speedup.
+   - interp (the headline): events/s interpreting the Pi Pthread
+     program at 1024 threads — the configuration every ROADMAP sweep
+     item is gated on.  "Events" are scheduler resumes
+     (Scc.Engine.events), a pure function of the simulated schedule, so
+     the rate is comparable across implementations that produce the
+     same results.  The one figure is checked against two committed
+     floors, [headline_events_per_sec] and [interp_tree] (the latter
+     from when a second interpreter backend was measured alongside).
+   - interp_8: the same program at 8 threads.
    - sched_raw: a synthetic workload performing compute/load effects
      directly against the engine API with no C interpreter at all —
      the scheduler + effect-machinery + memory-model ceiling.  If this
@@ -18,9 +19,9 @@
      interp figures drop, the interpreter regressed.
    - sweep: the Figure 6.1 sweep (each benchmark in Pthread baseline
      and translated RCCE form) end to end, configs/s.
-   - parallel: (a) the conservative parallel-DES ceiling measured by the
-     LBTS window accounting (Scc.Engine.par_report) on a 32-rank RCCE
-     run partitioned across sim_jobs=8 scheduler partitions, and (b) the
+   - parallel: (a) the conservative parallel-DES ceiling of a sequential
+     32-rank RCCE run split into 8 core partitions, from the LBTS window
+     view (Scc.Critpath.lookahead), and (b) the
      wall-clock speedup of running independent simulations on the
      PR 3 domain pool (Exp.Pool) — >1 on a multi-core host, ~1 in a
      single-CPU container (the committed baselines come from such a
@@ -31,7 +32,8 @@
 
      sim_bench [--quick] [--out FILE] [--check BASELINE] [--max-regress F]
 
-   --check compares headline, interp_tree, sched_raw and sweep figures
+   --check compares headline, interp_tree, interp_8, sched_raw and sweep
+   figures
    against a previously written BENCH_sim.json and exits 1 when any
    regresses by more than --max-regress (a fraction, default 0.30),
    naming the regressed component(s) and the implied attribution.  The
@@ -58,13 +60,13 @@ let best_of ~iters f =
   done;
   (!events, !best)
 
-let bench_pi ~label ~interp ~nt ~steps ~iters =
+let bench_pi ~label ~nt ~steps ~iters =
   let src = Exp.Csrc.pi ~nt ~steps in
   let program = Cfront.Parser.program ~file:"pi.c" src in
-  ignore (Cexec.Interp.run_pthread ~interp program);
+  ignore (Cexec.Interp.run_pthread program);
   let events, best =
     best_of ~iters (fun () ->
-        let r = Cexec.Interp.run_pthread ~interp program in
+        let r = Cexec.Interp.run_pthread program in
         Scc.Engine.events r.Cexec.Interp.engine)
   in
   { label; events; best_s = best; events_per_sec = float_of_int events /. best }
@@ -113,25 +115,21 @@ let bench_sweep ~iters =
   (!configs, !best, float_of_int !configs /. !best)
 
 type par_meas = {
-  sim_jobs : int;
   lookahead_ps : int;
-  windows : int;
-  par_ceiling : float;
-  domain_events : int array;
+  la : Scc.Critpath.lookahead;
   pool_jobs : int;
   pool_speedup : float;
 }
 
-(* Parallel component: LBTS ceiling of a 32-rank RCCE run under an
-   8-partition scheduler, plus the domain-pool speedup for independent
+(* Parallel component: LBTS ceiling of a sequential 32-rank RCCE run split
+   into 8 core partitions, plus the domain-pool speedup for independent
    simulations (four Pi runs, jobs=1 vs jobs=pool). *)
 let bench_parallel ~steps ~iters =
-  let sim_jobs = 8 in
   let src = Exp.Csrc.pi ~nt:32 ~steps in
   let program = Cfront.Parser.program ~file:"pi.c" src in
   let translated, _report = Translate.Driver.translate_program program in
-  let r = Cexec.Interp.run_rcce ~sim_jobs ~ncores:32 translated in
-  let rep = Scc.Engine.par_report r.Cexec.Interp.engine in
+  let critpath = Scc.Critpath.create () in
+  let r = Cexec.Interp.run_rcce ~critpath ~ncores:32 translated in
   let pool_jobs = min 4 (Exp.Pool.default_jobs ()) in
   let sim () =
     ignore (Cexec.Interp.run_pthread program);
@@ -151,11 +149,8 @@ let bench_parallel ~steps ~iters =
   let seq_s = time 1 in
   let par_s = time pool_jobs in
   {
-    sim_jobs = Scc.Engine.n_partitions r.Cexec.Interp.engine;
-    lookahead_ps = rep.Scc.Engine.lookahead_ps;
-    windows = rep.Scc.Engine.windows;
-    par_ceiling = Scc.Engine.par_ceiling rep;
-    domain_events = rep.Scc.Engine.domain_events;
+    lookahead_ps = Scc.Mesh.min_hop_ps (Scc.Engine.mesh r.Cexec.Interp.engine);
+    la = Scc.Critpath.lookahead ~parts:8 critpath;
     pool_jobs;
     pool_speedup = (if par_s > 0. then seq_s /. par_s else 1.);
   }
@@ -166,19 +161,17 @@ let meas_json m =
      %.0f}"
     m.label m.events m.best_s m.events_per_sec
 
-let json_of ~mode ~compiled ~tree ~moderate ~raw
+let json_of ~mode ~pi ~moderate ~raw
     ~sweep:(configs, sweep_s, cps) ~par =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"hsmc-sim-bench-2\",\n";
+  Buffer.add_string b "  \"schema\": \"hsmc-sim-bench-3\",\n";
   Buffer.add_string b (Printf.sprintf "  \"mode\": %S,\n" mode);
   Buffer.add_string b "  \"components\": {\n";
   Buffer.add_string b
-    (Printf.sprintf "    \"interp_compiled\": %s,\n" (meas_json compiled));
+    (Printf.sprintf "    \"interp\": %s,\n" (meas_json pi));
   Buffer.add_string b
-    (Printf.sprintf "    \"interp_tree\": %s,\n" (meas_json tree));
-  Buffer.add_string b
-    (Printf.sprintf "    \"interp_compiled_8\": %s,\n" (meas_json moderate));
+    (Printf.sprintf "    \"interp_8\": %s,\n" (meas_json moderate));
   Buffer.add_string b
     (Printf.sprintf "    \"sched_raw\": %s,\n" (meas_json raw));
   Buffer.add_string b
@@ -188,20 +181,20 @@ let json_of ~mode ~compiled ~tree ~moderate ~raw
        configs sweep_s cps);
   Buffer.add_string b
     (Printf.sprintf
-       "    \"parallel\": {\"sim_jobs\": %d, \"lookahead_ps\": %d, \
+       "    \"parallel\": {\"parts\": %d, \"lookahead_ps\": %d, \
         \"windows\": %d, \"par_ceiling\": %.2f, \"domain_events\": [%s], \
         \"pool_jobs\": %d, \"pool_speedup\": %.2f}\n"
-       par.sim_jobs par.lookahead_ps par.windows par.par_ceiling
+       par.la.Scc.Critpath.la_partitions par.lookahead_ps
+       par.la.Scc.Critpath.la_windows
+       par.la.Scc.Critpath.la_windowed_ceiling
        (String.concat ", "
-          (Array.to_list (Array.map string_of_int par.domain_events)))
+          (Array.to_list
+             (Array.map string_of_int par.la.Scc.Critpath.la_events)))
        par.pool_jobs par.pool_speedup);
   Buffer.add_string b "  },\n";
   Buffer.add_string b
-    (Printf.sprintf "  \"compile_speedup\": %.2f,\n"
-       (compiled.events_per_sec /. tree.events_per_sec));
-  Buffer.add_string b
     (Printf.sprintf "  \"headline_events_per_sec\": %.0f\n"
-       compiled.events_per_sec);
+       pi.events_per_sec);
   Buffer.add_string b "}\n";
   Buffer.contents b
 
@@ -263,7 +256,7 @@ let baseline_figures s =
     [
       after "headline" "headline_events_per_sec";
       component "interp_tree";
-      component "interp_compiled_8";
+      component "interp_8";
       component "sched_raw";
       after "sweep_configs_per_sec" "configs_per_sec";
     ]
@@ -305,18 +298,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let steps = if !quick then 16384 else 65536 in
   let iters = if !quick then 3 else 10 in
-  let compiled =
-    bench_pi ~label:"pi-pthread-1024-threads" ~interp:Cexec.Interp.Compiled
-      ~nt:1024 ~steps ~iters
-  in
-  let tree =
-    bench_pi ~label:"pi-pthread-1024-threads-tree" ~interp:Cexec.Interp.Tree
-      ~nt:1024 ~steps ~iters
-  in
-  let moderate =
-    bench_pi ~label:"pi-pthread-8-threads" ~interp:Cexec.Interp.Compiled ~nt:8
-      ~steps ~iters
-  in
+  let pi = bench_pi ~label:"pi-pthread-1024-threads" ~nt:1024 ~steps ~iters in
+  let moderate = bench_pi ~label:"pi-pthread-8-threads" ~nt:8 ~steps ~iters in
   let raw =
     bench_sched_raw ~nctx:256
       ~rounds:(if !quick then 128 else 512)
@@ -327,7 +310,7 @@ let () =
   let json =
     json_of
       ~mode:(if !quick then "quick" else "full")
-      ~compiled ~tree ~moderate ~raw ~sweep ~par
+      ~pi ~moderate ~raw ~sweep ~par
   in
   let oc = open_out !out in
   output_string oc json;
@@ -344,9 +327,9 @@ let () =
       else begin
         let current =
           [
-            ("headline", compiled.events_per_sec);
-            ("interp_tree", tree.events_per_sec);
-            ("interp_compiled_8", moderate.events_per_sec);
+            ("headline", pi.events_per_sec);
+            ("interp_tree", pi.events_per_sec);
+            ("interp_8", moderate.events_per_sec);
             ("sched_raw", raw.events_per_sec);
             ("sweep_configs_per_sec",
              let _, _, cps = sweep in
@@ -374,7 +357,7 @@ let () =
           "sim_bench: %s: headline %.0f events/s vs baseline (max regress \
            %.0f%%)\n"
           (if regressed = [] then "ok" else "REGRESSION")
-          compiled.events_per_sec
+          pi.events_per_sec
           (100. *. !max_regress);
         List.iter
           (fun (key, basev, now, floor, ok) ->
@@ -390,11 +373,8 @@ let () =
           let attribution =
             if r "sched_raw" then
               "engine/scheduler regression (raw effect path slowed down)"
-            else if r "headline" && not (r "interp_tree") then
-              "compiled-interpreter regression (tree reference held steady)"
-            else if r "headline" && r "interp_tree" then
-              "interpreter-wide regression (both modes slowed; engine raw \
-               path held)"
+            else if r "headline" || r "interp_tree" || r "interp_8" then
+              "interpreter regression (engine raw path held)"
             else "see component list above"
           in
           Printf.eprintf "sim_bench: attribution: %s\n" attribution;

@@ -134,76 +134,6 @@ let verify_run ~seed ~count ~sabotage ~verbose =
     | None -> "");
   if !unsound > 0 then 1 else 0
 
-(* Differential execution-mode check: the closure-compiled interpreter
-   and the partitioned scheduler must be invisible — byte-identical
-   printf output, exit values and final simulated time against the
-   tree-walking sequential reference, on both the Pthread baseline and
-   (when the program translates) the converted RCCE execution. *)
-let diff_modes_run ~seed ~count ~sim_jobs ~verbose =
-  let fails = ref 0 in
-  let obs r =
-    ( r.Cexec.Interp.output,
-      List.map Cexec.Value.to_string r.Cexec.Interp.exit_values,
-      r.Cexec.Interp.elapsed_ps )
-  in
-  let fail gseed what =
-    incr fails;
-    Printf.printf "DIFF seed %d: %s\n%!" gseed what
-  in
-  for i = 0 to count - 1 do
-    let gseed = seed + i in
-    let spec, program = Conform.Gen.generate ~seed:gseed in
-    let cfg = Conform.Oracle.config_of_spec spec in
-    (match
-       let tree =
-         Cexec.Interp.run_pthread ~interp:Cexec.Interp.Tree program
-       in
-       let compiled =
-         Cexec.Interp.run_pthread ~interp:Cexec.Interp.Compiled program
-       in
-       let parts =
-         Cexec.Interp.run_pthread ~interp:Cexec.Interp.Compiled ~sim_jobs
-           program
-       in
-       (obs tree, obs compiled, obs parts)
-     with
-    | exception e ->
-        fail gseed ("pthread run raised " ^ Printexc.to_string e)
-    | t, c, p ->
-        if c <> t then fail gseed "pthread: compiled differs from tree";
-        if p <> t then
-          fail gseed "pthread: partitioned scheduler differs from sequential");
-    (match Conform.Oracle.translate cfg program with
-    | exception _ -> ()  (* untranslatable configs are the oracle's job *)
-    | translated -> (
-        let ncores = cfg.Conform.Oracle.options.Translate.Pass.ncores in
-        match
-          let tree =
-            Cexec.Interp.run_rcce ~interp:Cexec.Interp.Tree ~ncores
-              translated
-          in
-          let parts =
-            Cexec.Interp.run_rcce ~interp:Cexec.Interp.Compiled ~sim_jobs
-              ~ncores translated
-          in
-          (obs tree, obs parts)
-        with
-        | exception e ->
-            fail gseed ("rcce run raised " ^ Printexc.to_string e)
-        | t, p ->
-            if p <> t then
-              fail gseed
-                "rcce: compiled+partitioned differs from tree+sequential"));
-    if verbose then Printf.printf "[%d] seed %d: modes agree\n%!" i gseed
-    else if (i + 1) mod 25 = 0 then
-      Printf.printf "  ... %d programs checked\n%!" (i + 1)
-  done;
-  Printf.printf
-    "%d program(s) under tree/compiled x sequential/%d-partition: %d \
-     mismatch(es)\n"
-    count sim_jobs !fails;
-  if !fails > 0 then 1 else 0
-
 (* Synthetic-workload stressor: every config of the synth sweep grid
    (lib/synth) emits a deterministic Pthread program; each runs through
    the dual-execution oracle with the optimizer forced on — the same
@@ -269,8 +199,7 @@ let synth_run ~quick ~count ~no_shrink ~save_dir ~verbose =
   if !fails > 0 then 1 else 0
 
 let run_cmd seed count quick no_shrink save_dir sabotage expect_diverge
-    verify diff_modes synth sim_jobs optimize verbose =
-  if diff_modes then exit (diff_modes_run ~seed ~count ~sim_jobs ~verbose);
+    verify synth optimize verbose =
   if synth then
     exit (synth_run ~quick ~count ~no_shrink ~save_dir ~verbose);
   let sabotage =
@@ -411,15 +340,6 @@ let verify_arg =
                  converted execution the oracle can crash.  Composes \
                  with --sabotage shrink-shmalloc.")
 
-let diff_modes_arg =
-  Arg.(value & flag
-       & info [ "diff-modes" ]
-           ~doc:"Differential execution-mode check: every generated \
-                 program must behave byte-identically under the \
-                 tree-walking vs closure-compiled interpreter and the \
-                 sequential vs partitioned (--sim-jobs) scheduler, on \
-                 both the Pthread baseline and the RCCE translation.")
-
 let synth_arg =
   Arg.(value & flag
        & info [ "synth" ]
@@ -427,11 +347,6 @@ let synth_arg =
                  grid's emitted Pthread programs (first --count configs; \
                  --quick selects the CI grid) through the dual-execution \
                  oracle with the optimizer on, shrinking any divergence.")
-
-let sim_jobs_arg =
-  Arg.(value & opt int 8
-       & info [ "sim-jobs" ] ~docv:"N"
-           ~doc:"Scheduler partitions for the --diff-modes parallel runs.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"One line per program.")
@@ -445,8 +360,7 @@ let optimize_arg =
 let run_term =
   Term.(const run_cmd $ seed_arg $ count_arg $ quick_arg $ no_shrink_arg
         $ save_arg $ sabotage_arg $ expect_diverge_arg $ verify_arg
-        $ diff_modes_arg $ synth_arg $ sim_jobs_arg $ optimize_arg
-        $ verbose_arg)
+        $ synth_arg $ optimize_arg $ verbose_arg)
 
 let replay_cmd_v =
   let files =

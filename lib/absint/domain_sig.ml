@@ -2,16 +2,15 @@ open Cfront
 
 (* Signature of a non-relational numeric value domain.
 
-   The engine is a functor over this signature so richer domains (octagons
-   would additionally carry a relational environment, with the value-level
-   operations below as its projection) can slot in without touching the
-   fixpoint machinery.  [Itv] is the interval instance. *)
+   The engine is a functor over this signature so the fixpoint machinery
+   does not depend on the value representation.  [Itv] is the interval
+   instance, and the only one. *)
 
 module type S = sig
   type t
 
   val name : string
-  (** Domain name as accepted by [--domain] (e.g. ["interval"]). *)
+  (** Domain name, reported in the verifier's JSON (["interval"]). *)
 
   val bottom : t
   val top : t

@@ -309,9 +309,7 @@ let config_of_directives d =
         Translate.Pass.ncores = d.d_cores;
         many_to_one = d.d_many_to_one;
         optimize = d.d_optimize };
-    passes = None;
-    interp = Cexec.Interp.Compiled;
-    sim_jobs = 1 }
+    passes = None }
 
 let replay ?(force_optimize = false) ~file contents =
   match parse_directives contents with

@@ -158,7 +158,7 @@ module Registry = struct
     t.order <- key :: t.order
 
   (* Counters are keyed by name + label set, so one metric family can
-     hold many labelled children (sim_domain_events_total{partition="N"}). *)
+     hold many labelled children (sim_account_ps_total{category="..."}). *)
   let counter t ?(help = "") ?(labels = []) name =
     let probe = Counter.make ~name ~labels ~help () in
     let key = name ^ Counter.label_string probe in

@@ -23,7 +23,17 @@
    subtracting the removable picoseconds from each context's finish
    time; the new wall is the max over contexts.  These are ceilings,
    not predictions: removing a wait can re-order a lock queue or shift
-   a barrier's last arriver, which the replay ignores. *)
+   a barrier's last arriver, which the replay ignores.
+
+   A third view is fed once per scheduler event (not per interval): the
+   LBTS parallelism ceiling.  Events are grouped into lookahead-wide
+   windows — a window opens at the first event at or past the previous
+   window's end and spans one mesh hop — and each window keeps the set
+   of cores that ran an event in it.  Window boundaries depend only on
+   the sequence of event times, never on how cores are grouped, so a
+   histogram from per-window core mask to window count, plus per-core
+   event counts, gives the ceiling for any partitioning of the cores
+   after the fact, from one sequential run. *)
 
 (* --- categories ------------------------------------------------------------ *)
 
@@ -84,10 +94,14 @@ type t = {
   mutable wall_ps : int;
   mutable mpb_line_ps : int;          (* nominal MPB line round trip *)
   mutable finalized : bool;
-  (* parallel-DES lookahead ceilings, set by the engine when it knows them *)
-  mutable la_parts : int;
-  mutable la_windowed : float;
-  mutable la_infinite : float;
+  (* LBTS window view; [la_cores] is 0 until the engine attaches *)
+  mutable la_cores : int;
+  mutable la_cores_per_tile : int;
+  mutable la_lookahead_ps : int;
+  mutable win_end : int;             (* current window end (exclusive) *)
+  mutable win_mask : int;            (* cores with events in it *)
+  win_hist : (int, int ref) Hashtbl.t;  (* closed windows per core mask *)
+  mutable core_events : int array;
 }
 
 let create ?(limit = 1_000_000) () =
@@ -107,9 +121,13 @@ let create ?(limit = 1_000_000) () =
     wall_ps = 0;
     mpb_line_ps = 0;
     finalized = false;
-    la_parts = 1;
-    la_windowed = 1.0;
-    la_infinite = 1.0;
+    la_cores = 0;
+    la_cores_per_tile = 1;
+    la_lookahead_ps = 0;
+    win_end = min_int;
+    win_mask = 0;
+    win_hist = Hashtbl.create 64;
+    core_events = [||];
   }
 
 let grow a n fill =
@@ -198,10 +216,30 @@ let note_shared_access t ~ctx =
   ensure_ctx t ctx;
   t.shared_n.(ctx) <- t.shared_n.(ctx) + 1
 
-let set_lookahead t ~parts ~windowed ~infinite =
-  t.la_parts <- parts;
-  t.la_windowed <- windowed;
-  t.la_infinite <- infinite
+(* Core masks are ints, so the view covers machines of up to
+   [Sys.int_size - 1] cores (the SCC has 48); larger meshes leave it off. *)
+let set_machine t ~cores ~cores_per_tile ~lookahead_ps =
+  if cores < Sys.int_size then begin
+    t.la_cores <- cores;
+    t.la_cores_per_tile <- cores_per_tile;
+    t.la_lookahead_ps <- lookahead_ps;
+    t.core_events <- Array.make cores 0
+  end
+
+let note_event t ~core ~now =
+  if t.la_cores > 0 then begin
+    if now >= t.win_end then begin
+      if t.win_mask <> 0 then begin
+        match Hashtbl.find_opt t.win_hist t.win_mask with
+        | Some n -> incr n
+        | None -> Hashtbl.add t.win_hist t.win_mask (ref 1)
+      end;
+      t.win_end <- now + t.la_lookahead_ps;
+      t.win_mask <- 0
+    end;
+    t.win_mask <- t.win_mask lor (1 lsl core);
+    t.core_events.(core) <- t.core_events.(core) + 1
+  end
 
 let finalize t ~wall_ps ~mpb_line_ps =
   if not t.finalized then begin
@@ -397,15 +435,75 @@ let whatifs t =
 
 type lookahead = {
   la_partitions : int;
-  la_windowed_ceiling : float;   (* with the current LBTS lookahead *)
-  la_infinite_ceiling : float;   (* one window spanning the whole run *)
+  la_windows : int;
+  la_windowed_ceiling : float;
+  la_infinite_ceiling : float;
+  la_events : int array;
 }
 
-let lookahead t =
+let popcount m =
+  let m = ref m and n = ref 0 in
+  while !m <> 0 do
+    m := !m land (!m - 1);
+    incr n
+  done;
+  !n
+
+let lookahead ?parts t =
+  let n = t.la_cores in
+  let nparts, part_of_core =
+    match parts with
+    | Some p ->
+        if p < 1 then invalid_arg "Critpath.lookahead: parts must be positive";
+        (* contiguous core ranges, so tiles stay together *)
+        let p = max 1 (min p n) in
+        (p, Array.init n (fun core -> core * p / n))
+    | None ->
+        (* one partition per tile that ran any event, in tile order *)
+        let cpt = t.la_cores_per_tile in
+        let part_of_tile = Array.make ((n + cpt - 1) / cpt) (-1) in
+        let active = ref 0 in
+        Array.iteri
+          (fun core ev ->
+            let tile = core / cpt in
+            if ev > 0 && part_of_tile.(tile) < 0 then begin
+              part_of_tile.(tile) <- !active;
+              incr active
+            end)
+          t.core_events;
+        ( max 1 !active,
+          Array.init n (fun core -> max 0 part_of_tile.(core / cpt)) )
+  in
+  let events = Array.make nparts 0 in
+  Array.iteri
+    (fun core ev ->
+      events.(part_of_core.(core)) <- events.(part_of_core.(core)) + ev)
+    t.core_events;
+  let windows = ref 0 and active_sum = ref 0 in
+  let add core_mask count =
+    let parts_mask = ref 0 in
+    for core = 0 to n - 1 do
+      if core_mask land (1 lsl core) <> 0 then
+        parts_mask := !parts_mask lor (1 lsl part_of_core.(core))
+    done;
+    windows := !windows + count;
+    active_sum := !active_sum + (count * popcount !parts_mask)
+  in
+  Hashtbl.iter (fun mask n -> add mask !n) t.win_hist;
+  (* the window still open when the run ended *)
+  if t.win_mask <> 0 then add t.win_mask 1;
+  let total = Array.fold_left ( + ) 0 events in
+  let busiest = Array.fold_left max 1 events in
   {
-    la_partitions = t.la_parts;
-    la_windowed_ceiling = t.la_windowed;
-    la_infinite_ceiling = t.la_infinite;
+    la_partitions = nparts;
+    la_windows = !windows;
+    la_windowed_ceiling =
+      (if !windows = 0 then 1.0
+       else float_of_int !active_sum /. float_of_int !windows);
+    la_infinite_ceiling =
+      (if total = 0 then 1.0
+       else float_of_int total /. float_of_int busiest);
+    la_events = events;
   }
 
 (* --- Perfetto flow arrows ----------------------------------------------------- *)
@@ -562,13 +660,10 @@ let render_whatifs t =
       :: rows)
   in
   table
-  ^
-  if la.la_partitions > 1 then
-    Printf.sprintf
-      "LBTS lookahead: %d partitions, windowed simulator ceiling %.2fx, \
-       infinite-lookahead ceiling %.2fx\n"
+  ^ Printf.sprintf
+      "LBTS lookahead: %d partitions (one per active tile), windowed \
+       simulator ceiling %.2fx, infinite-lookahead ceiling %.2fx\n"
       la.la_partitions la.la_windowed_ceiling la.la_infinite_ceiling
-  else "LBTS lookahead: n/a (sequential run; rerun with --sim-jobs > 1)\n"
 
 let render ?profile t =
   let buf = Buffer.create 1024 in

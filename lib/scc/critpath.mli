@@ -86,10 +86,18 @@ val note_mesh : t -> ctx:int -> int -> unit
 val note_shared_access : t -> ctx:int -> unit
 (** One shared-DRAM line transfer (feeds the MPB-speed what-if). *)
 
-val set_lookahead : t -> parts:int -> windowed:float -> infinite:float -> unit
-(** Parallel-DES ceilings, reported by the engine: the event-parallelism
-    ceiling under the current LBTS windows and under one whole-run
-    window. *)
+val set_machine :
+  t -> cores:int -> cores_per_tile:int -> lookahead_ps:int -> unit
+(** Attach the LBTS view to a machine: its core count, cores per tile
+    and window width (one mesh hop, {!Mesh.min_hop_ps}).  The engine
+    calls this at creation.  Machines of more than [Sys.int_size - 1]
+    cores leave the view off. *)
+
+val note_event : t -> core:int -> now:int -> unit
+(** One scheduler event on [core] at local time [now], in event order.
+    A window opens at the first event at or past the previous window's
+    end and spans the lookahead; each window remembers which cores ran
+    an event in it. *)
 
 val finalize : t -> wall_ps:int -> mpb_line_ps:int -> unit
 (** Record idle tails up to [wall_ps] (making the identity hold) and
@@ -153,13 +161,29 @@ val whatifs : t -> whatif list
 (** zero-mesh, zero-lock-wait, zero-barrier-wait, MPB-speed shared
     DRAM, zero-sched-wait. *)
 
+(** {1 LBTS parallelism ceiling} *)
+
 type lookahead = {
   la_partitions : int;
+  la_windows : int;             (** LBTS windows the run spanned *)
   la_windowed_ceiling : float;
+      (** mean partitions with events per window: the speedup a
+          conservative parallel executor with one-hop lookahead could
+          extract *)
   la_infinite_ceiling : float;
+      (** all events over the busiest partition's: one window spanning
+          the whole run *)
+  la_events : int array;        (** events per partition *)
 }
 
-val lookahead : t -> lookahead
+val lookahead : ?parts:int -> t -> lookahead
+(** The ceiling for [parts] contiguous core ranges (core [c] goes to
+    partition [c * parts / cores]; clamped to the core count), computed
+    from the windows recorded by {!note_event} — exactly what a
+    scheduler partitioned that way would have measured, since window
+    boundaries do not depend on the partitioning.  Without [parts], one
+    partition per tile that ran any event.
+    @raise Invalid_argument if [parts < 1]. *)
 
 (** {1 Sinks} *)
 

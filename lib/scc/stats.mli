@@ -27,9 +27,9 @@ type t = {
   mc_busy_ps : int array;
   mc_requests : int array;
   domain_events : int array;
-      (** scheduler events per partition, for parallel-DES load-imbalance
-          accounting (length = scheduler partitions; [[| total |]] for a
-          sequential run) *)
+      (** [[| total scheduler events |]]: the one-element form of a
+          per-partition count, kept for consumers that sum it; the
+          per-partition split is {!Critpath.lookahead}'s [la_events] *)
 }
 
 val create : n_ctxs:int -> n_mcs:int -> t

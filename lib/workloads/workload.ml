@@ -101,8 +101,8 @@ type result = {
 
 let elapsed_ms r = float_of_int r.elapsed_ps /. 1e9
 
-let run ?cfg ?trace ?profile ?critpath ?sim_jobs (w : t) mode =
-  let eng = Scc.Engine.create ?cfg ?trace ?profile ?critpath ?sim_jobs () in
+let run ?cfg ?trace ?profile ?critpath (w : t) mode =
+  let eng = Scc.Engine.create ?cfg ?trace ?profile ?critpath () in
   let units = units_of_mode mode in
   if units < 1 then invalid_arg "Workload.run: no execution units";
   let ctx = { eng; units; mode; notes = [] } in

@@ -388,9 +388,7 @@ let test_sharpen_translation_agrees () =
     { Conform.Oracle.options =
         { Translate.Pass.default_options with
           Translate.Pass.ncores = 4; sharpen = true };
-      passes = None;
-      interp = Cexec.Interp.Compiled;
-      sim_jobs = 1 }
+      passes = None }
   in
   match Conform.Oracle.check cfg (parse sharpen_src) with
   | Conform.Oracle.Agree -> ()

@@ -53,77 +53,117 @@ let test_identity_hot_loop () =
   Alcotest.(check int) "totals re-sum to the identity" sum
     (Array.fold_left ( + ) 0 totals)
 
-(* The recorder must not observe the partitioned scheduler: the whole
-   account matrix is cell-identical for every --sim-jobs value. *)
-let test_identity_across_sim_jobs () =
+(* The recorder must not perturb the run it observes: with and without a
+   critpath attached the output, simulated time and event count agree,
+   and a second recorded run reproduces the account matrix cell for
+   cell. *)
+let test_identity_unperturbed () =
   let program = parse (Filename.concat (data_dir "examples/c") "hot_loop.c") in
   let translated = translate ~ncores:8 ~optimize:false program in
-  let run sim_jobs =
+  let run () =
     let cp = Scc.Critpath.create () in
-    let r = Cexec.Interp.run_rcce ~critpath:cp ~sim_jobs ~ncores:8 translated in
+    let r = Cexec.Interp.run_rcce ~critpath:cp ~ncores:8 translated in
     (cp, r)
   in
-  let cp1, r1 = run 1 in
-  List.iter
-    (fun sim_jobs ->
-      let cp, r = run sim_jobs in
-      Alcotest.(check string)
-        (Printf.sprintf "sim_jobs=%d: output" sim_jobs)
-        r1.Cexec.Interp.output r.Cexec.Interp.output;
+  let plain = Cexec.Interp.run_rcce ~ncores:8 translated in
+  let cp1, r1 = run () in
+  Alcotest.(check string) "output" plain.Cexec.Interp.output
+    r1.Cexec.Interp.output;
+  Alcotest.(check int) "elapsed ps" plain.Cexec.Interp.elapsed_ps
+    r1.Cexec.Interp.elapsed_ps;
+  Alcotest.(check int) "events"
+    (Scc.Engine.events plain.Cexec.Interp.engine)
+    (Scc.Engine.events r1.Cexec.Interp.engine);
+  let cp, _ = run () in
+  Alcotest.(check int) "wall" (Scc.Critpath.wall_ps cp1)
+    (Scc.Critpath.wall_ps cp);
+  Alcotest.(check bool) "identity" true (Scc.Critpath.identity_ok cp);
+  for ctx = 0 to Scc.Critpath.n_ctxs cp1 - 1 do
+    for cat = 0 to Scc.Critpath.n_categories - 1 do
       Alcotest.(check int)
-        (Printf.sprintf "sim_jobs=%d: wall" sim_jobs)
-        (Scc.Critpath.wall_ps cp1) (Scc.Critpath.wall_ps cp);
-      Alcotest.(check bool)
-        (Printf.sprintf "sim_jobs=%d: identity" sim_jobs)
-        true (Scc.Critpath.identity_ok cp);
-      for ctx = 0 to Scc.Critpath.n_ctxs cp1 - 1 do
-        for cat = 0 to Scc.Critpath.n_categories - 1 do
-          Alcotest.(check int)
-            (Printf.sprintf "sim_jobs=%d: account ctx=%d cat=%d" sim_jobs
-               ctx cat)
-            (Scc.Critpath.account cp1 ~ctx ~cat)
-            (Scc.Critpath.account cp ~ctx ~cat)
-        done
-      done)
-    [ 3; 8 ]
+        (Printf.sprintf "account ctx=%d cat=%d" ctx cat)
+        (Scc.Critpath.account cp1 ~ctx ~cat)
+        (Scc.Critpath.account cp ~ctx ~cat)
+    done
+  done
 
 (* ---------------------------------------------------------------- *)
-(* LBTS window accounting (Engine.par_report / Stats.domain_events) *)
+(* LBTS window view (Critpath.lookahead) *)
 
-let test_par_report_accounting () =
+let test_lookahead_accounting () =
   let program = parse (Filename.concat (data_dir "examples/c") "hot_loop.c") in
   let translated = translate ~ncores:8 ~optimize:false program in
-  let run () = Cexec.Interp.run_rcce ~sim_jobs:8 ~ncores:8 translated in
-  let r = run () in
-  let eng = r.Cexec.Interp.engine in
-  let rep = Scc.Engine.par_report eng in
-  Alcotest.(check int) "domain events sum to Engine.events"
+  let run () =
+    let cp = Scc.Critpath.create () in
+    let r = Cexec.Interp.run_rcce ~critpath:cp ~ncores:8 translated in
+    (cp, r.Cexec.Interp.engine)
+  in
+  let cp, eng = run () in
+  let la = Scc.Critpath.lookahead cp in
+  (* 8 cores on 2-core tiles: one partition per active tile *)
+  Alcotest.(check int) "one partition per active tile" 4
+    la.Scc.Critpath.la_partitions;
+  Alcotest.(check int) "partition events sum to Engine.events"
     (Scc.Engine.events eng)
-    (Array.fold_left ( + ) 0 rep.Scc.Engine.domain_events);
-  Alcotest.(check int) "stats mirror the same counters"
-    (Scc.Engine.events eng)
-    (Array.fold_left ( + ) 0
-       (Scc.Engine.stats eng).Scc.Stats.domain_events);
-  Alcotest.(check bool) "active_max <= partitions" true
-    (rep.Scc.Engine.active_max <= rep.Scc.Engine.partitions);
-  Alcotest.(check bool) "active_sum within [windows, windows x partitions]"
-    true
-    (rep.Scc.Engine.active_sum >= rep.Scc.Engine.windows
-    && rep.Scc.Engine.active_sum
-       <= rep.Scc.Engine.windows * rep.Scc.Engine.partitions);
-  Alcotest.(check bool) "ceiling >= 1" true
-    (Scc.Engine.par_ceiling rep >= 1.0);
-  (* deterministic: a second identical run reproduces the window
-     accounting byte for byte *)
-  let rep' = Scc.Engine.par_report (run ()).Cexec.Interp.engine in
-  Alcotest.(check int) "windows reproducible" rep.Scc.Engine.windows
-    rep'.Scc.Engine.windows;
-  Alcotest.(check int) "active_sum reproducible" rep.Scc.Engine.active_sum
-    rep'.Scc.Engine.active_sum;
-  Alcotest.(check int) "active_max reproducible" rep.Scc.Engine.active_max
-    rep'.Scc.Engine.active_max;
-  Alcotest.(check (array int)) "domain events reproducible"
-    rep.Scc.Engine.domain_events rep'.Scc.Engine.domain_events
+    (Array.fold_left ( + ) 0 la.Scc.Critpath.la_events);
+  Alcotest.(check (array int)) "stats carry the one-element total"
+    [| Scc.Engine.events eng |]
+    (Scc.Engine.stats eng).Scc.Stats.domain_events;
+  Alcotest.(check bool) "windows counted" true (la.Scc.Critpath.la_windows > 0);
+  List.iter
+    (fun (la : Scc.Critpath.lookahead) ->
+      let parts = float_of_int la.Scc.Critpath.la_partitions in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d partitions: windowed ceiling in [1, parts]"
+           la.Scc.Critpath.la_partitions)
+        true
+        (la.Scc.Critpath.la_windowed_ceiling >= 1.0
+        && la.Scc.Critpath.la_windowed_ceiling <= parts);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d partitions: infinite ceiling in [1, parts]"
+           la.Scc.Critpath.la_partitions)
+        true
+        (la.Scc.Critpath.la_infinite_ceiling >= 1.0
+        && la.Scc.Critpath.la_infinite_ceiling <= parts))
+    [ la; Scc.Critpath.lookahead ~parts:1 cp; Scc.Critpath.lookahead ~parts:8 cp ];
+  Alcotest.(check (float 0.)) "one partition: windowed ceiling 1" 1.0
+    (Scc.Critpath.lookahead ~parts:1 cp).Scc.Critpath.la_windowed_ceiling;
+  (* the windows do not depend on the partitioning *)
+  Alcotest.(check int) "windows independent of parts" la.Scc.Critpath.la_windows
+    (Scc.Critpath.lookahead ~parts:3 cp).Scc.Critpath.la_windows;
+  (* deterministic: a second identical run reproduces the view *)
+  let cp', _ = run () in
+  let la' = Scc.Critpath.lookahead cp' in
+  Alcotest.(check int) "windows reproducible" la.Scc.Critpath.la_windows
+    la'.Scc.Critpath.la_windows;
+  Alcotest.(check (float 0.)) "ceiling reproducible"
+    la.Scc.Critpath.la_windowed_ceiling la'.Scc.Critpath.la_windowed_ceiling;
+  Alcotest.(check (array int)) "partition events reproducible"
+    la.Scc.Critpath.la_events la'.Scc.Critpath.la_events
+
+(* The view reproduces, from one sequential run, exactly what an engine
+   scheduling contiguous core partitions measured on the quick 32-rank
+   Pi RCCE run: the same windows, ceilings and per-partition events. *)
+let test_lookahead_exact () =
+  let src = Exp.Csrc.pi ~nt:32 ~steps:16384 in
+  let program = Cfront.Parser.program ~file:"pi.c" src in
+  let translated, _ = Translate.Driver.translate_program program in
+  let cp = Scc.Critpath.create () in
+  ignore (Cexec.Interp.run_rcce ~critpath:cp ~ncores:32 translated);
+  let la8 = Scc.Critpath.lookahead ~parts:8 cp in
+  Alcotest.(check int) "8 partitions" 8 la8.Scc.Critpath.la_partitions;
+  Alcotest.(check int) "windows" 73037 la8.Scc.Critpath.la_windows;
+  Alcotest.(check (array int)) "per-partition events"
+    [| 55014; 55014; 55014; 55014; 55014; 18338; 0; 0 |]
+    la8.Scc.Critpath.la_events;
+  List.iter
+    (fun (parts, ceiling) ->
+      Alcotest.(check string)
+        (Printf.sprintf "ceiling at %d partitions" parts)
+        ceiling
+        (Printf.sprintf "%.6f"
+           (Scc.Critpath.lookahead ~parts cp).Scc.Critpath.la_windowed_ceiling))
+    [ (2, "1.407519"); (4, "1.661980"); (8, "2.318496"); (24, "2.511645") ]
 
 (* ---------------------------------------------------------------- *)
 (* agreement with the profiler: the zero-lock what-if removes exactly
@@ -313,33 +353,27 @@ let test_render_and_json () =
     [ {|"identity"|}; {|"ok": true|}; {|"critical_path"|}; {|"whatif"|};
       {|"category": "lock-wait"|}; {|"lookahead"|} ]
 
-(* the engine publishes the account as labelled Prometheus counters, and
-   the partition counters use the labelled family too *)
+(* the engine publishes the account as labelled Prometheus counters *)
 let test_registry_metrics () =
   let program = parse (Filename.concat (data_dir "examples/c") "hot_loop.c") in
   let translated = translate ~ncores:8 ~optimize:false program in
   let cp = Scc.Critpath.create () in
   let profile = Scc.Profile.create () in
-  ignore
-    (Cexec.Interp.run_rcce ~profile ~critpath:cp ~sim_jobs:4 ~ncores:8
-       translated);
+  ignore (Cexec.Interp.run_rcce ~profile ~critpath:cp ~ncores:8 translated);
   let text = Obs.Registry.to_prometheus (Scc.Profile.registry profile) in
   Alcotest.(check bool) "account family present" true
-    (contains text {|sim_account_ps_total{category="compute"}|});
-  Alcotest.(check bool) "partition family labelled" true
-    (contains text {|sim_domain_events_total{partition="0"}|});
-  Alcotest.(check bool) "old name-embedded partition counters are gone"
-    false
-    (contains text "sim_domain_events_part")
+    (contains text {|sim_account_ps_total{category="compute"}|})
 
 let suite =
   [
     Alcotest.test_case "identity: hot_loop on 8 cores" `Quick
       test_identity_hot_loop;
-    Alcotest.test_case "identity across sim_jobs" `Quick
-      test_identity_across_sim_jobs;
+    Alcotest.test_case "recording does not perturb the run" `Quick
+      test_identity_unperturbed;
     Alcotest.test_case "LBTS window accounting" `Quick
-      test_par_report_accounting;
+      test_lookahead_accounting;
+    Alcotest.test_case "LBTS ceiling exact on 32-rank Pi" `Quick
+      test_lookahead_exact;
     Alcotest.test_case "zero-lock what-if == profiler lock table" `Quick
       test_zero_lock_matches_profiler;
     Alcotest.test_case "naive vs -O: shared stalls collapse" `Quick
