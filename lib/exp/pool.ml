@@ -9,9 +9,17 @@
 
    A thunk that raises poisons only its own slot; the first failure (in
    input order, not completion order) is re-raised in the caller once
-   every domain has been joined, so no domain is ever left running. *)
+   every domain has been joined, so no domain is ever left running.
+
+   Each worker domain first enlarges its own minor heap (a spawned domain
+   does not inherit the parent's [Gc.set]).  In OCaml 5 every minor
+   collection stops all domains, so with the default 256K-word heap the
+   workers spend their time waiting on each other's collections and
+   [jobs = 2] ran slower than [jobs = 1]; see EXPERIMENTS.md. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
+
+let worker_minor_heap_words = 2 * 1024 * 1024 (* 16 MB on 64-bit *)
 
 let map_fixed ~jobs thunks =
   let n = List.length thunks in
@@ -22,6 +30,7 @@ let map_fixed ~jobs thunks =
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let worker () =
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin

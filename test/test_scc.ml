@@ -4,47 +4,115 @@
 
 (* --- cache -------------------------------------------------------------- *)
 
+let read c addr = Scc.Cache.access_code c ~write:false addr
+
+let code =
+  Alcotest.testable
+    (fun ppf c ->
+      Format.pp_print_string ppf
+        (if c = Scc.Cache.hit then "hit"
+         else if c = Scc.Cache.miss then "miss"
+         else if c = Scc.Cache.miss_evict_dirty then "miss_evict_dirty"
+         else string_of_int c))
+    ( = )
+
 let test_cache_basics () =
   let c = Scc.Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:2 in
-  let r1 = Scc.Cache.access c ~write:false 0 in
-  Alcotest.(check bool) "cold miss" false r1.Scc.Cache.hit;
-  let r2 = Scc.Cache.access c ~write:false 0 in
-  Alcotest.(check bool) "warm hit" true r2.Scc.Cache.hit;
-  let r3 = Scc.Cache.access c ~write:false 16 in
-  Alcotest.(check bool) "same line hits" true r3.Scc.Cache.hit;
-  let r4 = Scc.Cache.access c ~write:false 32 in
-  Alcotest.(check bool) "next line misses" false r4.Scc.Cache.hit
+  Alcotest.check code "cold miss" Scc.Cache.miss (read c 0);
+  Alcotest.check code "warm hit" Scc.Cache.hit (read c 0);
+  Alcotest.check code "same line hits" Scc.Cache.hit (read c 16);
+  Alcotest.check code "next line misses" Scc.Cache.miss (read c 32)
 
 let test_cache_lru_eviction () =
   (* 2-way, 16 sets of 32B lines: three lines mapping to one set evict
      the least recently used *)
   let c = Scc.Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:2 in
   let set_stride = 16 * 32 in
-  ignore (Scc.Cache.access c ~write:false 0);
-  ignore (Scc.Cache.access c ~write:false set_stride);
+  ignore (read c 0);
+  ignore (read c set_stride);
   (* touch line 0 so line set_stride is LRU *)
-  ignore (Scc.Cache.access c ~write:false 0);
-  ignore (Scc.Cache.access c ~write:false (2 * set_stride));
-  let r0 = Scc.Cache.access c ~write:false 0 in
-  Alcotest.(check bool) "MRU line survived" true r0.Scc.Cache.hit;
-  let r1 = Scc.Cache.access c ~write:false set_stride in
-  Alcotest.(check bool) "LRU line evicted" false r1.Scc.Cache.hit
+  ignore (read c 0);
+  ignore (read c (2 * set_stride));
+  Alcotest.check code "MRU line survived" Scc.Cache.hit (read c 0);
+  Alcotest.check code "LRU line evicted" Scc.Cache.miss (read c set_stride)
 
 let test_cache_dirty_writeback () =
   let c = Scc.Cache.create ~size_bytes:64 ~line_bytes:32 ~assoc:1 in
-  ignore (Scc.Cache.access c ~write:true 0);
+  ignore (Scc.Cache.access_code c ~write:true 0);
   (* conflicting line in the same (single) set *)
-  let r = Scc.Cache.access c ~write:false 64 in
-  Alcotest.(check bool) "dirty victim reported" true r.Scc.Cache.evicted_dirty
+  Alcotest.check code "dirty victim reported" Scc.Cache.miss_evict_dirty
+    (read c 64)
 
 let test_cache_flush_and_rates () =
   let c = Scc.Cache.create ~size_bytes:256 ~line_bytes:32 ~assoc:2 in
-  ignore (Scc.Cache.access c ~write:false 0);
-  ignore (Scc.Cache.access c ~write:false 0);
+  ignore (read c 0);
+  ignore (read c 0);
   Alcotest.(check (float 0.01)) "hit rate 1/2" 0.5 (Scc.Cache.hit_rate c);
   Scc.Cache.flush c;
-  let r = Scc.Cache.access c ~write:false 0 in
-  Alcotest.(check bool) "flushed" false r.Scc.Cache.hit
+  Alcotest.check code "flushed" Scc.Cache.miss (read c 0)
+
+(* A reference true-LRU model: per set, a list of (tag, dirty) pairs with
+   the most recently used first.  The flat cache must return the same
+   code as this model on every access. *)
+let reference_cache ~size_bytes ~line_bytes ~assoc =
+  let set_count = size_bytes / line_bytes / assoc in
+  let sets = Array.make set_count [] in
+  let hits = ref 0 and misses = ref 0 in
+  let access ~write addr =
+    let la = addr / line_bytes in
+    let s = la mod set_count and tag = la / set_count in
+    let lines = sets.(s) in
+    match List.assoc_opt tag lines with
+    | Some dirty ->
+        incr hits;
+        sets.(s) <- (tag, dirty || write) :: List.remove_assoc tag lines;
+        Scc.Cache.hit
+    | None ->
+        incr misses;
+        let kept, victim_dirty =
+          if List.length lines < assoc then (lines, false)
+          else
+            let rev = List.rev lines in
+            (List.rev (List.tl rev), snd (List.hd rev))
+        in
+        sets.(s) <- (tag, write) :: kept;
+        if victim_dirty then Scc.Cache.miss_evict_dirty else Scc.Cache.miss
+  in
+  (access, hits, misses)
+
+let test_cache_matches_reference () =
+  let geometries =
+    [
+      (64, 32, 1);
+      (1024, 32, 2);
+      Scc.Config.(default.l1_bytes, default.line_bytes, default.l1_assoc);
+      Scc.Config.(default.l2_bytes, default.line_bytes, default.l2_assoc);
+    ]
+  in
+  List.iter
+    (fun (size_bytes, line_bytes, assoc) ->
+      let name = Printf.sprintf "%d/%d/%d" size_bytes line_bytes assoc in
+      let c = Scc.Cache.create ~size_bytes ~line_bytes ~assoc in
+      let ref_access, ref_hits, ref_misses =
+        reference_cache ~size_bytes ~line_bytes ~assoc
+      in
+      let rng = Random.State.make [| size_bytes; assoc |] in
+      let span = 4 * size_bytes in
+      for i = 1 to 20_000 do
+        let addr = Random.State.int rng span in
+        let write = Random.State.int rng 4 = 0 in
+        let want = ref_access ~write addr in
+        let got = Scc.Cache.access_code c ~write addr in
+        if got <> want then
+          Alcotest.check code
+            (Printf.sprintf "%s access %d (addr %d, write %b)" name i addr
+               write)
+            want got
+      done;
+      Alcotest.(check int) (name ^ " hits") !ref_hits (Scc.Cache.hits c);
+      Alcotest.(check int) (name ^ " misses") !ref_misses
+        (Scc.Cache.misses c))
+    geometries
 
 let test_cache_bad_geometry () =
   match Scc.Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:5 with
@@ -148,6 +216,19 @@ let test_power_monotone_energy () =
   Alcotest.(check bool) "positive" true (e8 > 0.0)
 
 (* --- engine ------------------------------------------------------------------ *)
+
+(* Building the engine for the default 48-core machine records cache
+   geometry only; the per-core tag stores appear on first use.  A
+   deterministic guard against materializing them up front again. *)
+let test_engine_create_allocation () =
+  let before = Gc.minor_words () in
+  let eng = Scc.Engine.create () in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity eng);
+  Alcotest.(check bool)
+    (Printf.sprintf "Engine.create allocated %.0f minor words (< 100000)"
+       words)
+    true (words < 100_000.)
 
 let test_engine_determinism () =
   let run_once () =
@@ -384,6 +465,10 @@ let suite =
     Alcotest.test_case "cache flush and rates" `Quick
       test_cache_flush_and_rates;
     Alcotest.test_case "cache bad geometry" `Quick test_cache_bad_geometry;
+    Alcotest.test_case "cache matches reference LRU" `Quick
+      test_cache_matches_reference;
+    Alcotest.test_case "engine create allocation" `Quick
+      test_engine_create_allocation;
     Alcotest.test_case "memmap regions" `Quick test_memmap_regions_roundtrip;
     Alcotest.test_case "memmap alignment" `Quick test_memmap_line_alignment;
     Alcotest.test_case "MPB capacity" `Quick test_mpb_capacity_enforced;
