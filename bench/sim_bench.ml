@@ -23,11 +23,12 @@
      32-rank RCCE run split into 8 core partitions, from the LBTS window
      view (Scc.Critpath.lookahead), and (b) the
      wall-clock speedup of running independent simulations on the
-     PR 3 domain pool (Exp.Pool) — >1 on a multi-core host, ~1 in a
-     single-CPU container (the committed baselines come from such a
-     container; see EXPERIMENTS.md).
+     domain pool (Exp.Pool) — >1 on a multi-core host, ~1 in a
+     single-CPU container (see EXPERIMENTS.md).  (b) runs first, on a
+     compacted heap, as the median of five seq/par pairs; it is not
+     gated.
 
-   Each measurement is best-of-N wall time: the simulator is
+   Every other measurement is best-of-N wall time: the simulator is
    deterministic, so the minimum is the least-noise estimate.
 
      sim_bench [--quick] [--out FILE] [--check BASELINE] [--max-regress F]
@@ -121,38 +122,47 @@ type par_meas = {
   pool_speedup : float;
 }
 
-(* Parallel component: LBTS ceiling of a sequential 32-rank RCCE run split
-   into 8 core partitions, plus the domain-pool speedup for independent
-   simulations (four Pi runs, jobs=1 vs jobs=pool). *)
-let bench_parallel ~steps ~iters =
-  let src = Exp.Csrc.pi ~nt:32 ~steps in
-  let program = Cfront.Parser.program ~file:"pi.c" src in
-  let translated, _report = Translate.Driver.translate_program program in
+let pi32 ~steps =
+  Cfront.Parser.program ~file:"pi.c" (Exp.Csrc.pi ~nt:32 ~steps)
+
+(* Domain-pool speedup for independent simulations: four 32-thread Pi
+   runs, jobs=1 vs jobs=pool.  Measured before every other component,
+   on a compacted heap (a heap the other components have grown makes
+   every parallel minor collection dearer), as the median of [pairs]
+   back-to-back seq/par ratios: neighbouring timings share the host's
+   slow drifts, so their ratio cancels most of them. *)
+let bench_pool ~steps ~pairs =
+  let program = pi32 ~steps in
+  let pool_jobs = min 4 (Exp.Pool.default_jobs ()) in
+  let thunks =
+    List.init 4 (fun _ () -> ignore (Cexec.Interp.run_pthread program))
+  in
+  let time jobs =
+    let t0 = Unix.gettimeofday () in
+    ignore (Exp.Pool.map_fixed ~jobs thunks);
+    Unix.gettimeofday () -. t0
+  in
+  Gc.compact ();
+  let ratios =
+    List.sort compare
+      (List.init pairs (fun _ ->
+           let seq_s = time 1 in
+           let par_s = time pool_jobs in
+           if par_s > 0. then seq_s /. par_s else 1.))
+  in
+  (pool_jobs, List.nth ratios (pairs / 2))
+
+(* LBTS ceiling of a sequential 32-rank RCCE run split into 8 core
+   partitions. *)
+let bench_parallel ~steps ~pool:(pool_jobs, pool_speedup) =
+  let translated, _report = Translate.Driver.translate_program (pi32 ~steps) in
   let critpath = Scc.Critpath.create () in
   let r = Cexec.Interp.run_rcce ~critpath ~ncores:32 translated in
-  let pool_jobs = min 4 (Exp.Pool.default_jobs ()) in
-  let sim () =
-    ignore (Cexec.Interp.run_pthread program);
-    ()
-  in
-  let thunks = List.init 4 (fun _ -> sim) in
-  let time jobs =
-    let best = ref infinity in
-    for _ = 1 to iters do
-      let t0 = Unix.gettimeofday () in
-      Exp.Pool.map_fixed ~jobs thunks |> ignore;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let seq_s = time 1 in
-  let par_s = time pool_jobs in
   {
     lookahead_ps = Scc.Mesh.min_hop_ps (Scc.Engine.mesh r.Cexec.Interp.engine);
     la = Scc.Critpath.lookahead ~parts:8 critpath;
     pool_jobs;
-    pool_speedup = (if par_s > 0. then seq_s /. par_s else 1.);
+    pool_speedup;
   }
 
 let meas_json m =
@@ -298,6 +308,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let steps = if !quick then 16384 else 65536 in
   let iters = if !quick then 3 else 10 in
+  let pool = bench_pool ~steps ~pairs:5 in
   let pi = bench_pi ~label:"pi-pthread-1024-threads" ~nt:1024 ~steps ~iters in
   let moderate = bench_pi ~label:"pi-pthread-8-threads" ~nt:8 ~steps ~iters in
   let raw =
@@ -306,7 +317,7 @@ let () =
       ~iters
   in
   let sweep = bench_sweep ~iters:(if !quick then 2 else 5) in
-  let par = bench_parallel ~steps ~iters:(if !quick then 2 else 3) in
+  let par = bench_parallel ~steps ~pool in
   let json =
     json_of
       ~mode:(if !quick then "quick" else "full")

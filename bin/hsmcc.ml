@@ -317,31 +317,9 @@ let run_cmd path ncores detect_races diag_format profile_on trace_out
           Printf.eprintf "-- explain: -> %s (json)\n" out));
   (match trace_out, trace with
   | Some out, Some tr ->
-      if Scc.Trace.dropped tr > 0 then
-        Printf.eprintf
-          "hsmcc: warning: trace truncated, %d events dropped%s\n"
-          (Scc.Trace.dropped tr)
-          (if critpath <> None then
-             "; critical-path flow arrows clipped to the retained window"
-           else "");
-      let events =
-        Scc.Trace.to_chrome_events tr
-        @ (match profile with
-          | None -> []
-          | Some p -> Scc.Profile.counter_events p)
-        @ (match critpath with
-          | None -> []
-          | Some cp ->
-              (* clip the flow chain at the trace horizon so no arrow
-                 points at a dropped slice *)
-              let max_end_ps =
-                if Scc.Trace.dropped tr > 0 then
-                  Some (Scc.Trace.max_end_ps tr)
-                else None
-              in
-              Scc.Critpath.flow_events ?max_end_ps cp)
-      in
-      Obs.Chrome.write_merge out events;
+      Option.iter
+        (Printf.eprintf "hsmcc: warning: %s\n")
+        (Scc.Trace.write_chrome ?profile ?critpath tr out);
       Printf.eprintf "-- trace: %d events -> %s (Perfetto)\n"
         (Scc.Trace.length tr) out
   | _, _ -> ());

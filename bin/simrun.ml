@@ -112,35 +112,11 @@ let run_cmd name name_flag mode units trace_out profile_on
               Printf.printf "explain:    -> %s (json)\n" path));
       (match trace_out, trace with
       | Some path, Some tr ->
-          if Scc.Trace.dropped tr > 0 then
-            Printf.eprintf
-              "simrun: warning: trace truncated, %d events dropped past \
-               the buffer limit%s\n"
-              (Scc.Trace.dropped tr)
-              (if critpath <> None then
-                 "; critical-path flow arrows clipped to the retained \
-                  window"
-               else "");
-          let events =
-            Scc.Trace.to_chrome_events tr
-            @ (match profile with
-              | None -> []
-              | Some p -> Scc.Profile.counter_events p)
-            @ (match critpath with
-              | None -> []
-              | Some cp ->
-                  (* clip the flow chain at the trace horizon so no arrow
-                     points at a dropped slice *)
-                  let max_end_ps =
-                    if Scc.Trace.dropped tr > 0 then
-                      Some (Scc.Trace.max_end_ps tr)
-                    else None
-                  in
-                  Scc.Critpath.flow_events ?max_end_ps cp)
-          in
           (* merge-write: lands in the same JSON array as compiler spans
              when the file came from `hsmcc translate --trace` *)
-          Obs.Chrome.write_merge path events;
+          Option.iter
+            (Printf.eprintf "simrun: warning: %s\n")
+            (Scc.Trace.write_chrome ?profile ?critpath tr path);
           Printf.printf "trace:      %d events -> %s (Perfetto)\n"
             (Scc.Trace.length tr) path
       | _, _ -> ());

@@ -1,22 +1,21 @@
-(* Causal observability over the DES (see critpath.mli).
+(* Causal observability over the DES (see critpath.mli): views over the
+   engine's event log.
 
-   The engine reports every local-clock advance here exactly once, as an
-   interval with a category, an optional cross-context dependency edge
-   (lock holder, barrier last-arriver, flag setter, join target, spawn
-   parent), and the profiler's current function/line slots.  Two things
-   are built from that stream:
+   The engine records every local-clock advance in the log exactly once,
+   as an interval with a category, an optional cross-context dependency
+   edge (lock holder, barrier last-arriver, flag setter, join target,
+   spawn parent), and the profiler's current function/line slots.  Two
+   things are read from it:
 
-   - a full accounting: per-context per-category picosecond totals that
-     by construction satisfy  sum over categories == wall ps  for every
-     context (idle head/tail fills the gaps), so nothing is silently
-     dropped.  The accumulators are plain adds and never stop, even
-     when the event buffer hits its cap;
+   - a full accounting: the log's per-context per-category picosecond
+     totals, which by construction satisfy  sum over categories == wall
+     ps  for every context once [finalize] pads the idle tails.  They
+     never stop, even when the log hits its cap;
 
-   - the event-dependency graph itself, in growable flat int arrays
-     (Trace-style: record is a handful of array stores, overflow is
-     counted, never silent).  The critical path is the backward walk
-     from the last event of the last-finishing context: follow the
-     dependency edge when there is one, program order otherwise.
+   - the event-dependency graph itself.  The critical path is the
+     backward walk from the last event of the last-finishing context:
+     follow the dependency edge when there is one, program order
+     otherwise.
 
    What-if estimators replay the accounting under counterfactuals
    (zero mesh latency, zero lock waits, MPB-speed shared DRAM) by
@@ -35,61 +34,11 @@
    event counts, gives the ceiling for any partitioning of the cores
    after the fact, from one sequential run. *)
 
-(* --- categories ------------------------------------------------------------ *)
-
-(* 0..5 mirror Trace.kind_index; 6..8 cover the advances the trace does
-   not see, so that every picosecond lands somewhere. *)
-let cat_compute = 0
-let cat_mem_private = 1
-let cat_mem_shared = 2
-let cat_mem_mpb = 3
-let cat_barrier_wait = 4
-let cat_lock_wait = 5
-let cat_sched_wait = 6
-let cat_sync = 7
-let cat_idle = 8
-let n_categories = 9
-
-let () = assert (Trace.n_kinds = 6)
-
-let category_name = function
-  | 0 -> "compute"
-  | 1 -> "mem-private"
-  | 2 -> "mem-shared"
-  | 3 -> "mem-mpb"
-  | 4 -> "barrier-wait"
-  | 5 -> "lock-wait"
-  | 6 -> "sched-wait"
-  | 7 -> "sync"
-  | 8 -> "idle"
-  | c -> invalid_arg (Printf.sprintf "Critpath.category_name: %d" c)
-
-let cat_of_kind k = Trace.kind_index k
-
 (* --- state ----------------------------------------------------------------- *)
 
 type t = {
-  limit : int;
-  (* event-dependency graph, parallel flat arrays indexed by event id *)
-  mutable e_ctx : int array;
-  mutable e_core : int array;
-  mutable e_cat : int array;
-  mutable e_dur : int array;
-  mutable e_end : int array;
-  mutable e_fn : int array;
-  mutable e_line : int array;
-  mutable e_pred : int array;   (* causal edge, -1 = program order only *)
-  mutable e_prev : int array;   (* previous event of the same ctx, -1 = first *)
-  mutable len : int;
-  mutable n_dropped : int;
-  (* per-context state (growable) *)
-  mutable last_ev : int array;        (* last recorded event id, -1 none *)
-  mutable fin : int array;            (* local clock after the last advance *)
-  mutable acct : int array array;     (* [ctx].[cat] picoseconds, exact *)
-  mutable acct_n : int array array;   (* [ctx].[cat] interval counts *)
-  mutable mesh_ps : int array;        (* mesh-hop ps inside mem intervals *)
-  mutable shared_n : int array;       (* shared-DRAM line transfers *)
-  mutable n_ctx : int;
+  mutable log : Evlog.t;
+  mutable mesh_ps : int array;  (* per ctx: mesh-hop ps inside mem intervals *)
   (* set by finalize *)
   mutable wall_ps : int;
   mutable mpb_line_ps : int;          (* nominal MPB line round trip *)
@@ -104,20 +53,10 @@ type t = {
   mutable core_events : int array;
 }
 
-let create ?(limit = 1_000_000) () =
+let create ?limit () =
   {
-    limit;
-    e_ctx = [||]; e_core = [||]; e_cat = [||]; e_dur = [||]; e_end = [||];
-    e_fn = [||]; e_line = [||]; e_pred = [||]; e_prev = [||];
-    len = 0;
-    n_dropped = 0;
-    last_ev = [||];
-    fin = [||];
-    acct = [||];
-    acct_n = [||];
+    log = Evlog.create ?limit ();
     mesh_ps = [||];
-    shared_n = [||];
-    n_ctx = 0;
     wall_ps = 0;
     mpb_line_ps = 0;
     finalized = false;
@@ -130,91 +69,27 @@ let create ?(limit = 1_000_000) () =
     core_events = [||];
   }
 
-let grow a n fill =
+let log t = t.log
+let share_log t log = t.log <- log
+
+(* --- recording (engine side) ----------------------------------------------- *)
+
+let grow a ctx =
   let cap = Array.length a in
-  if n <= cap then a
+  if ctx < cap then a
   else begin
-    let bigger = Array.make (max n (2 * max 1024 cap)) fill in
+    let bigger = Array.make (max (ctx + 1) (2 * max 64 cap)) 0 in
     Array.blit a 0 bigger 0 cap;
     bigger
   end
 
-let ensure_ctx t ctx =
-  if ctx >= t.n_ctx then begin
-    let n = ctx + 1 in
-    let old = t.n_ctx in
-    t.last_ev <- grow t.last_ev n (-1);
-    t.fin <- grow t.fin n 0;
-    t.mesh_ps <- grow t.mesh_ps n 0;
-    t.shared_n <- grow t.shared_n n 0;
-    let cap = Array.length t.acct in
-    if n > cap then begin
-      let grow_2d a =
-        let bigger = Array.make (max n (2 * max 1 cap)) [||] in
-        Array.blit a 0 bigger 0 cap;
-        bigger
-      in
-      t.acct <- grow_2d t.acct;
-      t.acct_n <- grow_2d t.acct_n
-    end;
-    for c = old to n - 1 do
-      if Array.length t.acct.(c) = 0 then begin
-        t.acct.(c) <- Array.make n_categories 0;
-        t.acct_n.(c) <- Array.make n_categories 0
-      end
-    done;
-    t.n_ctx <- n
-  end
-
-(* --- recording (engine side) ----------------------------------------------- *)
-
-let record t ~ctx ~core ~cat ~dur ~end_ps ~fn ~line ~pred =
-  if dur > 0 then begin
-    ensure_ctx t ctx;
-    (* accounting is exact regardless of event-buffer truncation *)
-    t.acct.(ctx).(cat) <- t.acct.(ctx).(cat) + dur;
-    t.acct_n.(ctx).(cat) <- t.acct_n.(ctx).(cat) + 1;
-    if end_ps > t.fin.(ctx) then t.fin.(ctx) <- end_ps;
-    if t.len >= t.limit then t.n_dropped <- t.n_dropped + 1
-    else begin
-      let i = t.len in
-      let cap = Array.length t.e_ctx in
-      if i = cap then begin
-        t.e_ctx <- grow t.e_ctx (i + 1) 0;
-        t.e_core <- grow t.e_core (i + 1) 0;
-        t.e_cat <- grow t.e_cat (i + 1) 0;
-        t.e_dur <- grow t.e_dur (i + 1) 0;
-        t.e_end <- grow t.e_end (i + 1) 0;
-        t.e_fn <- grow t.e_fn (i + 1) 0;
-        t.e_line <- grow t.e_line (i + 1) 0;
-        t.e_pred <- grow t.e_pred (i + 1) (-1);
-        t.e_prev <- grow t.e_prev (i + 1) (-1)
-      end;
-      t.e_ctx.(i) <- ctx;
-      t.e_core.(i) <- core;
-      t.e_cat.(i) <- cat;
-      t.e_dur.(i) <- dur;
-      t.e_end.(i) <- end_ps;
-      t.e_fn.(i) <- fn;
-      t.e_line.(i) <- line;
-      t.e_pred.(i) <- (if pred >= 0 && pred < i then pred else -1);
-      t.e_prev.(i) <- t.last_ev.(ctx);
-      t.last_ev.(ctx) <- i;
-      t.len <- i + 1
-    end
-  end
-
-let last_event t ~ctx = if ctx < t.n_ctx then t.last_ev.(ctx) else -1
+let get a ctx = if ctx < Array.length a then a.(ctx) else 0
 
 let note_mesh t ~ctx ps =
   if ps > 0 then begin
-    ensure_ctx t ctx;
+    t.mesh_ps <- grow t.mesh_ps ctx;
     t.mesh_ps.(ctx) <- t.mesh_ps.(ctx) + ps
   end
-
-let note_shared_access t ~ctx =
-  ensure_ctx t ctx;
-  t.shared_n.(ctx) <- t.shared_n.(ctx) + 1
 
 (* Core masks are ints, so the view covers machines of up to
    [Sys.int_size - 1] cores (the SCC has 48); larger meshes leave it off. *)
@@ -249,49 +124,34 @@ let finalize t ~wall_ps ~mpb_line_ps =
     (* idle tail: a context that finished before the wall is idle until
        the wall; recording it makes the accounting identity hold with
        no special cases *)
-    for ctx = 0 to t.n_ctx - 1 do
-      if t.fin.(ctx) < wall_ps then
-        record t ~ctx ~core:(-1) ~cat:cat_idle ~dur:(wall_ps - t.fin.(ctx))
-          ~end_ps:wall_ps ~fn:0 ~line:0 ~pred:(-1)
+    let l = t.log in
+    for ctx = 0 to l.n_ctx - 1 do
+      if l.fin.(ctx) < wall_ps then
+        Evlog.record l ~ctx ~core:(-1) ~cat:Evlog.Idle
+          ~dur:(wall_ps - l.fin.(ctx)) ~end_ps:wall_ps ~fn:0 ~line:0
+          ~pred:(-1)
     done
   end
 
 (* --- accounting ------------------------------------------------------------- *)
 
-let events t = t.len
-let dropped t = t.n_dropped
-let n_ctxs t = t.n_ctx
+let dropped t = Array.fold_left ( + ) 0 t.log.dropped
+let n_ctxs t = t.log.n_ctx
 let wall_ps t = t.wall_ps
 
-let account t ~ctx ~cat =
-  if ctx < t.n_ctx then t.acct.(ctx).(cat) else 0
+let cell per_ctx t ~ctx ~cat =
+  if ctx < t.log.n_ctx then per_ctx.((ctx * Evlog.n_cats) + Evlog.cat_index cat)
+  else 0
 
-let account_events t ~ctx ~cat =
-  if ctx < t.n_ctx then t.acct_n.(ctx).(cat) else 0
+let account t = cell t.log.acct t
 
-let account_totals t =
-  let acc = Array.make n_categories 0 in
-  for ctx = 0 to t.n_ctx - 1 do
-    for cat = 0 to n_categories - 1 do
-      acc.(cat) <- acc.(cat) + t.acct.(ctx).(cat)
-    done
-  done;
-  acc
-
-let account_event_totals t =
-  let acc = Array.make n_categories 0 in
-  for ctx = 0 to t.n_ctx - 1 do
-    for cat = 0 to n_categories - 1 do
-      acc.(cat) <- acc.(cat) + t.acct_n.(ctx).(cat)
-    done
-  done;
-  acc
+let account_totals t = Evlog.cat_totals t.log
 
 (* sum of every charged picosecond vs wall * contexts: equal after
    finalize, or the engine missed (or double-charged) an advance *)
 let identity t =
   let sum = Array.fold_left ( + ) 0 (account_totals t) in
-  (sum, t.wall_ps * t.n_ctx)
+  (sum, t.wall_ps * t.log.n_ctx)
 
 let identity_ok t =
   let sum, expect = identity t in
@@ -302,44 +162,46 @@ let identity_ok t =
 type step = {
   st_ctx : int;
   st_core : int;
-  st_cat : int;
+  st_cat : Evlog.cat;
   st_dur : int;
   st_end_ps : int;
   st_fn : int;
   st_line : int;
 }
 
-let step_of t i =
+let step_of (l : Evlog.t) i =
   {
-    st_ctx = t.e_ctx.(i);
-    st_core = t.e_core.(i);
-    st_cat = t.e_cat.(i);
-    st_dur = t.e_dur.(i);
-    st_end_ps = t.e_end.(i);
-    st_fn = t.e_fn.(i);
-    st_line = t.e_line.(i);
+    st_ctx = l.e_ctx.(i);
+    st_core = l.e_core.(i);
+    st_cat = Evlog.cat_of_index l.e_cat.(i);
+    st_dur = l.e_dur.(i);
+    st_end_ps = l.e_end.(i);
+    st_fn = l.e_fn.(i);
+    st_line = l.e_line.(i);
   }
 
 (* Backward walk from the last event of the last-finishing context:
    follow the causal edge when the event has one (the wait ends because
    of what the edge points at), program order otherwise.  Returned in
-   execution order.  With a truncated buffer the walk simply bottoms
-   out at the oldest recorded ancestor — callers surface [dropped]. *)
+   execution order.  With a truncated log the walk simply bottoms out at
+   the oldest recorded ancestor — callers surface [dropped]. *)
 let critical_path t =
-  if t.n_ctx = 0 || t.len = 0 then []
+  let l = t.log in
+  if l.n_ctx = 0 || l.len = 0 then []
   else begin
     let last_ctx = ref 0 in
-    for ctx = 1 to t.n_ctx - 1 do
-      if t.fin.(ctx) > t.fin.(!last_ctx) then last_ctx := ctx
+    for ctx = 1 to l.n_ctx - 1 do
+      if l.fin.(ctx) > l.fin.(!last_ctx) then last_ctx := ctx
     done;
+    let idle = Evlog.cat_index Evlog.Idle in
     let path = ref [] in
-    let cur = ref t.last_ev.(!last_ctx) in
+    let cur = ref l.last_ev.(!last_ctx) in
     while !cur >= 0 do
       let i = !cur in
       (* idle-tail events pad the accounting; the path skips them *)
-      if t.e_cat.(i) <> cat_idle || t.e_pred.(i) >= 0 then
-        path := step_of t i :: !path;
-      cur := (if t.e_pred.(i) >= 0 then t.e_pred.(i) else t.e_prev.(i))
+      if l.e_cat.(i) <> idle || l.e_pred.(i) >= 0 then
+        path := step_of l i :: !path;
+      cur := (if l.e_pred.(i) >= 0 then l.e_pred.(i) else l.e_prev.(i))
     done;
     !path
   end
@@ -348,12 +210,13 @@ let path_span steps =
   List.fold_left (fun acc s -> acc + s.st_dur) 0 steps
 
 let path_by_category steps =
-  let ps = Array.make n_categories 0 in
-  let n = Array.make n_categories 0 in
+  let ps = Array.make Evlog.n_cats 0 in
+  let n = Array.make Evlog.n_cats 0 in
   List.iter
     (fun s ->
-      ps.(s.st_cat) <- ps.(s.st_cat) + s.st_dur;
-      n.(s.st_cat) <- n.(s.st_cat) + 1)
+      let c = Evlog.cat_index s.st_cat in
+      ps.(c) <- ps.(c) + s.st_dur;
+      n.(c) <- n.(c) + 1)
     steps;
   (ps, n)
 
@@ -393,10 +256,11 @@ type whatif = {
 let replay t removable =
   let new_wall = ref 1 in
   let removed = ref 0 in
-  for ctx = 0 to t.n_ctx - 1 do
-    let r = min (removable ctx) t.fin.(ctx) in
+  let fin = t.log.fin in
+  for ctx = 0 to t.log.n_ctx - 1 do
+    let r = min (removable ctx) fin.(ctx) in
     removed := !removed + r;
-    if t.fin.(ctx) - r > !new_wall then new_wall := t.fin.(ctx) - r
+    if fin.(ctx) - r > !new_wall then new_wall := fin.(ctx) - r
   done;
   (!removed, max 1 !new_wall)
 
@@ -413,24 +277,27 @@ let make_whatif t ~name ~desc removable =
   }
 
 let whatifs t =
+  let acct ctx cat = account t ~ctx ~cat in
   [
     make_whatif t ~name:"zero-mesh"
       ~desc:"mesh hops take 0 ps (perfect on-chip network)"
-      (fun ctx -> t.mesh_ps.(ctx));
+      (fun ctx -> get t.mesh_ps ctx);
     make_whatif t ~name:"zero-lock-wait"
       ~desc:"every lock acquisition is uncontended"
-      (fun ctx -> t.acct.(ctx).(cat_lock_wait));
+      (fun ctx -> acct ctx Evlog.Lock_wait);
     make_whatif t ~name:"zero-barrier-wait"
       ~desc:"every barrier arrival is the last (perfect balance)"
-      (fun ctx -> t.acct.(ctx).(cat_barrier_wait));
+      (fun ctx -> acct ctx Evlog.Barrier_wait);
     make_whatif t ~name:"mpb-speed-shared"
       ~desc:"shared DRAM lines served at on-chip MPB cost"
       (fun ctx ->
-        let subst = t.shared_n.(ctx) * t.mpb_line_ps in
-        max 0 (t.acct.(ctx).(cat_mem_shared) - subst));
+        (* one mem-shared interval per shared-DRAM line transfer *)
+        let lines = cell t.log.acct_n t ~ctx ~cat:Evlog.Mem_shared in
+        let subst = lines * t.mpb_line_ps in
+        max 0 (acct ctx Evlog.Mem_shared - subst));
     make_whatif t ~name:"zero-sched-wait"
       ~desc:"every context owns a core (no time slicing)"
-      (fun ctx -> t.acct.(ctx).(cat_sched_wait));
+      (fun ctx -> acct ctx Evlog.Sched_wait);
   ]
 
 type lookahead = {
@@ -510,16 +377,16 @@ let lookahead ?parts t =
 
 (* One flow chain threaded through the trace slices the path's events
    fall inside (pid = core, tid = ctx, matching Trace.to_chrome_events).
-   [max_end_ps] clips the chain when the flat trace buffer truncated:
-   steps past the last traced picosecond have no slice to bind to, so
-   emitting them would leave dangling flow ids — the chain is instead
-   re-terminated at the last in-range step.  Idle/sched steps carry no
-   trace slice either and are skipped the same way. *)
+   The path only walks retained log records, so when the trace reads the
+   same log every step has a slice to bind to.  [max_end_ps] clips the
+   chain for callers whose trace may have ended earlier; the chain is
+   re-terminated at the last in-range step.  Idle/sched/sync steps carry
+   no trace slice and are skipped the same way. *)
 let flow_events ?(flow_id = 1) ?max_end_ps t =
   let steps = critical_path t in
   let in_range s =
     s.st_core >= 0
-    && s.st_cat <= cat_lock_wait   (* categories with trace slices *)
+    && Evlog.is_slice s.st_cat
     && (match max_end_ps with None -> true | Some m -> s.st_end_ps <= m)
   in
   let steps = List.filter in_range steps in
@@ -539,7 +406,7 @@ let flow_events ?(flow_id = 1) ?max_end_ps t =
         Obs.Chrome.Flow
           {
             name = "critical-path";
-            cat = category_name s.st_cat;
+            cat = Evlog.cat_name s.st_cat;
             id = flow_id;
             pid = s.st_core;
             tid = s.st_ctx;
@@ -552,15 +419,15 @@ let flow_events ?(flow_id = 1) ?max_end_ps t =
 
 let register_metrics t reg =
   let totals = account_totals t in
-  for cat = 0 to n_categories - 1 do
-    let c =
-      Obs.Registry.counter reg
-        ~help:"simulated picoseconds accounted per category (all contexts)"
-        ~labels:[ ("category", category_name cat) ]
-        "sim_account_ps_total"
-    in
-    Obs.Counter.add c totals.(cat)
-  done
+  List.iter
+    (fun cat ->
+      Obs.Counter.add
+        (Obs.Registry.counter reg
+           ~help:"simulated picoseconds accounted per category (all contexts)"
+           ~labels:[ ("category", Evlog.cat_name cat) ]
+           "sim_account_ps_total")
+        totals.(Evlog.cat_index cat))
+    Evlog.all_cats
 
 (* --- rendering ------------------------------------------------------------------ *)
 
@@ -577,184 +444,126 @@ let line_of profile slot =
   | Some p -> Profile.line_name p slot
   | None -> if slot = 0 then "<unknown>" else Printf.sprintf "line#%d" slot
 
+(* one entry per category with time in [ps], in index order *)
+let nonzero ps f =
+  List.filter_map
+    (fun c ->
+      let i = Evlog.cat_index c in
+      if ps.(i) > 0 then Some (f (Evlog.cat_name c) i) else None)
+    Evlog.all_cats
+
 let render_account t =
   let totals = account_totals t in
-  let counts = account_event_totals t in
+  let counts = Evlog.cat_counts t.log in
   let sum, expect = identity t in
-  let rows = ref [] in
-  for cat = n_categories - 1 downto 0 do
-    if totals.(cat) > 0 then
-      rows :=
-        [ category_name cat;
-          string_of_int totals.(cat);
-          Printf.sprintf "%.1f%%" (pct totals.(cat) expect);
-          string_of_int counts.(cat) ]
-        :: !rows
-  done;
-  let table =
-    Obs.render_table ([ "category"; "ps"; "share"; "intervals" ] :: !rows)
-  in
-  table
+  Obs.render_table
+    ([ "category"; "ps"; "share"; "intervals" ]
+    :: nonzero totals (fun name i ->
+           [ name;
+             string_of_int totals.(i);
+             Printf.sprintf "%.1f%%" (pct totals.(i) expect);
+             string_of_int counts.(i) ]))
   ^ Printf.sprintf "accounted %d ps over %d contexts x %d ps wall (%s)\n" sum
-      t.n_ctx t.wall_ps
+      t.log.n_ctx t.wall_ps
       (if sum = expect then "identity holds"
        else Printf.sprintf "IDENTITY BROKEN: expected %d" expect)
 
 let render_path ?profile ?(limit = 12) t =
-  let steps = critical_path t in
-  match steps with
+  match critical_path t with
   | [] -> "critical path: empty (no events recorded)\n"
-  | _ ->
+  | steps ->
       let span = path_span steps in
       let by_cat, _ = path_by_category steps in
-      let buf = Buffer.create 512 in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "critical path: %d steps, %d ps (%.1f%% of the %d ps wall)%s\n"
-           (List.length steps) span (pct span t.wall_ps) t.wall_ps
-           (if t.n_dropped > 0 then
-              Printf.sprintf " [approximate: %d events dropped]" t.n_dropped
-            else ""));
-      let rows = ref [] in
-      for cat = n_categories - 1 downto 0 do
-        if by_cat.(cat) > 0 then
-          rows :=
-            [ category_name cat;
-              string_of_int by_cat.(cat);
-              Printf.sprintf "%.1f%%" (pct by_cat.(cat) span) ]
-            :: !rows
-      done;
-      Buffer.add_string buf
-        (Obs.render_table ([ "path category"; "ps"; "share" ] :: !rows));
-      let contributors = path_contributors steps in
-      let shown = List.filteri (fun i _ -> i < limit) contributors in
-      Buffer.add_string buf "\nheaviest path contributors:\n";
-      Buffer.add_string buf
-        (Obs.render_table
-           ([ "function"; "line"; "category"; "ps"; "steps" ]
-           :: List.map
-                (fun (fn, line, cat, ps, n) ->
-                  [ fn_of profile fn;
-                    line_of profile line;
-                    category_name cat;
-                    string_of_int ps;
-                    string_of_int n ])
-                shown));
-      Buffer.contents buf
+      Printf.sprintf
+        "critical path: %d steps, %d ps (%.1f%% of the %d ps wall)%s\n"
+        (List.length steps) span (pct span t.wall_ps) t.wall_ps
+        (if dropped t > 0 then
+           Printf.sprintf " [approximate: %d events dropped]" (dropped t)
+         else "")
+      ^ Obs.render_table
+          ([ "path category"; "ps"; "share" ]
+          :: nonzero by_cat (fun name i ->
+                 [ name;
+                   string_of_int by_cat.(i);
+                   Printf.sprintf "%.1f%%" (pct by_cat.(i) span) ]))
+      ^ "\nheaviest path contributors:\n"
+      ^ Obs.render_table
+          ([ "function"; "line"; "category"; "ps"; "steps" ]
+          :: List.map
+               (fun (fn, line, cat, ps, n) ->
+                 [ fn_of profile fn;
+                   line_of profile line;
+                   Evlog.cat_name cat;
+                   string_of_int ps;
+                   string_of_int n ])
+               (List.filteri (fun i _ -> i < limit) (path_contributors steps)))
 
 let render_whatifs t =
-  let rows =
-    List.map
-      (fun w ->
-        [ w.wi_name;
-          string_of_int w.wi_removed_ps;
-          string_of_int w.wi_new_wall_ps;
-          Printf.sprintf "%.2fx" w.wi_ceiling;
-          w.wi_desc ])
-      (whatifs t)
-  in
   let la = lookahead t in
-  let table =
-    Obs.render_table
-      ([ "what-if"; "removed-ps"; "new-wall-ps"; "ceiling"; "assumption" ]
-      :: rows)
-  in
-  table
+  Obs.render_table
+    ([ "what-if"; "removed-ps"; "new-wall-ps"; "ceiling"; "assumption" ]
+    :: List.map
+         (fun w ->
+           [ w.wi_name;
+             string_of_int w.wi_removed_ps;
+             string_of_int w.wi_new_wall_ps;
+             Printf.sprintf "%.2fx" w.wi_ceiling;
+             w.wi_desc ])
+         (whatifs t))
   ^ Printf.sprintf
       "LBTS lookahead: %d partitions (one per active tile), windowed \
        simulator ceiling %.2fx, infinite-lookahead ceiling %.2fx\n"
       la.la_partitions la.la_windowed_ceiling la.la_infinite_ceiling
 
 let render ?profile t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "where the time goes (full accounting):\n";
-  Buffer.add_string buf (render_account t);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf (render_path ?profile t);
-  Buffer.add_string buf "\nspeedup ceilings (what-if replay):\n";
-  Buffer.add_string buf (render_whatifs t);
-  Buffer.contents buf
+  "where the time goes (full accounting):\n" ^ render_account t ^ "\n"
+  ^ render_path ?profile t ^ "\nspeedup ceilings (what-if replay):\n"
+  ^ render_whatifs t
 
 (* --- JSON report ----------------------------------------------------------------- *)
 
 let to_json ?profile t =
   let totals = account_totals t in
-  let counts = account_event_totals t in
+  let counts = Evlog.cat_counts t.log in
   let sum, expect = identity t in
   let steps = critical_path t in
-  let span = path_span steps in
   let by_cat, by_cat_n = path_by_category steps in
   let la = lookahead t in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"wall_ps\": %d,\n  \"contexts\": %d,\n  \"events\": %d,\n  \
-        \"dropped\": %d,\n"
-       t.wall_ps t.n_ctx t.len t.n_dropped);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"identity\": {\"sum_ps\": %d, \"wall_x_contexts\": %d, \"ok\": %b},\n"
-       sum expect (sum = expect));
-  Buffer.add_string buf "  \"account\": [";
-  let first = ref true in
-  for cat = 0 to n_categories - 1 do
-    if totals.(cat) > 0 then begin
-      if not !first then Buffer.add_string buf ", ";
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"category\": \"%s\", \"ps\": %d, \"intervals\": %d}"
-           (category_name cat) totals.(cat) counts.(cat))
-    end
-  done;
-  Buffer.add_string buf "],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"critical_path\": {\"steps\": %d, \"span_ps\": %d, \
-        \"by_category\": ["
-       (List.length steps) span);
-  let first = ref true in
-  for cat = 0 to n_categories - 1 do
-    if by_cat.(cat) > 0 then begin
-      if not !first then Buffer.add_string buf ", ";
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf "{\"category\": \"%s\", \"ps\": %d, \"steps\": %d}"
-           (category_name cat) by_cat.(cat) by_cat_n.(cat))
-    end
-  done;
-  Buffer.add_string buf "], \"top\": [";
-  let contributors = path_contributors steps in
-  List.iteri
-    (fun i (fn, line, cat, ps, n) ->
-      if i < 12 then begin
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"function\": \"%s\", \"line\": \"%s\", \"category\": \
-              \"%s\", \"ps\": %d, \"steps\": %d}"
-             (Obs.json_escape (fn_of profile fn))
-             (Obs.json_escape (line_of profile line))
-             (category_name cat) ps n)
-      end)
-    contributors;
-  Buffer.add_string buf "]},\n";
-  Buffer.add_string buf "  \"whatif\": [";
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\": \"%s\", \"removed_ps\": %d, \"new_wall_ps\": %d, \
-            \"ceiling\": %.4f}"
-           w.wi_name w.wi_removed_ps w.wi_new_wall_ps w.wi_ceiling))
-    (whatifs t);
-  Buffer.add_string buf "],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"lookahead\": {\"partitions\": %d, \"windowed_ceiling\": %.4f, \
-        \"infinite_ceiling\": %.4f}\n"
-       la.la_partitions la.la_windowed_ceiling la.la_infinite_ceiling);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let list l = String.concat ", " l in
+  Printf.sprintf
+    "{\n  \"wall_ps\": %d,\n  \"contexts\": %d,\n  \"events\": %d,\n  \
+     \"dropped\": %d,\n  \"identity\": {\"sum_ps\": %d, \"wall_x_contexts\": \
+     %d, \"ok\": %b},\n  \"account\": [%s],\n  \"critical_path\": {\"steps\": \
+     %d, \"span_ps\": %d, \"by_category\": [%s], \"top\": [%s]},\n  \
+     \"whatif\": [%s],\n  \"lookahead\": {\"partitions\": %d, \
+     \"windowed_ceiling\": %.4f, \"infinite_ceiling\": %.4f}\n}\n"
+    t.wall_ps t.log.n_ctx t.log.len (dropped t) sum expect (sum = expect)
+    (list
+       (nonzero totals (fun name i ->
+            Printf.sprintf
+              "{\"category\": \"%s\", \"ps\": %d, \"intervals\": %d}" name
+              totals.(i) counts.(i))))
+    (List.length steps) (path_span steps)
+    (list
+       (nonzero by_cat (fun name i ->
+            Printf.sprintf "{\"category\": \"%s\", \"ps\": %d, \"steps\": %d}"
+              name by_cat.(i) by_cat_n.(i))))
+    (list
+       (List.map
+          (fun (fn, line, cat, ps, n) ->
+            Printf.sprintf
+              "{\"function\": \"%s\", \"line\": \"%s\", \"category\": \
+               \"%s\", \"ps\": %d, \"steps\": %d}"
+              (Obs.json_escape (fn_of profile fn))
+              (Obs.json_escape (line_of profile line))
+              (Evlog.cat_name cat) ps n)
+          (List.filteri (fun i _ -> i < 12) (path_contributors steps))))
+    (list
+       (List.map
+          (fun w ->
+            Printf.sprintf
+              "{\"name\": \"%s\", \"removed_ps\": %d, \"new_wall_ps\": %d, \
+               \"ceiling\": %.4f}"
+              w.wi_name w.wi_removed_ps w.wi_new_wall_ps w.wi_ceiling)
+          (whatifs t)))
+    la.la_partitions la.la_windowed_ceiling la.la_infinite_ceiling

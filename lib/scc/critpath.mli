@@ -1,8 +1,8 @@
 (** Causal observability over the DES: the event-dependency graph, a
     full picosecond accounting, the critical path, and what-if speedup
-    ceilings.
+    ceilings — views over the engine's {!Evlog}.
 
-    The engine reports every local-clock advance exactly once — compute
+    The engine logs every local-clock advance exactly once — compute
     bursts, memory stalls (split private / shared DRAM / MPB), barrier
     waits with last-arriver edges, mutex waits with holder edges,
     scheduler slice waits, sync protocol costs, and idle padding — so
@@ -11,9 +11,9 @@
     {v sum over contexts and categories == wall ps * contexts v}
 
     holds {e exactly}; any gap means a missed (or double-charged)
-    advance.  The per-category accumulators are plain integer adds and
-    stay exact even when the event buffer hits its cap (drops are
-    counted, never silent, mirroring {!Trace}).
+    advance.  The log's per-category totals are plain integer adds and
+    stay exact even when its buffer hits the cap (drops are counted,
+    never silent).
 
     The critical path is extracted backward from the last event of the
     last-finishing context: follow the causal edge when the event has
@@ -25,66 +25,24 @@
 type t
 
 val create : ?limit:int -> unit -> t
-(** [limit] caps the event-dependency buffer (default 1_000_000
-    events); accounting stays exact past it. *)
+(** [limit] caps the event log (default 1_000_000 events); accounting
+    stays exact past it.  When a {!Trace} observes the same run, the
+    shared log's cap is the smaller of the two limits. *)
 
-(** {1 Categories}
+val log : t -> Evlog.t
 
-    Indices 0–5 mirror {!Trace.kind_index}; 6–8 cover advances the
-    trace does not see. *)
+val share_log : t -> Evlog.t -> unit
+(** Read [log] from now on (the engine does this when a trace observes
+    the same run). *)
 
-val n_categories : int
-val cat_compute : int
-val cat_mem_private : int
-val cat_mem_shared : int
-val cat_mem_mpb : int
-val cat_barrier_wait : int
-val cat_lock_wait : int
+(** {1 Recording (engine side)}
 
-val cat_sched_wait : int
-(** Waiting for a core: ready-queue delay plus the context-switch
-    penalty on shared cores. *)
-
-val cat_sync : int
-(** Synchronization protocol costs that are not waits on another
-    context's progress: uncontended lock acquire/release, MPB flag
-    set/read costs, join bookkeeping. *)
-
-val cat_idle : int
-(** Before a spawned context starts, and after a context finishes until
-    the wall — the padding that makes the identity total. *)
-
-val category_name : int -> string
-val cat_of_kind : Trace.kind -> int
-
-(** {1 Recording (engine side)} *)
-
-val record :
-  t ->
-  ctx:int ->
-  core:int ->
-  cat:int ->
-  dur:int ->
-  end_ps:int ->
-  fn:int ->
-  line:int ->
-  pred:int ->
-  unit
-(** One local-clock advance of [dur] ps ending at [end_ps].  [fn] /
-    [line] are {!Profile} intern slots (0 when unprofiled); [pred] is
-    the event id this interval causally waited on ([-1] = program
-    order only).  Zero-duration advances are ignored. *)
-
-val last_event : t -> ctx:int -> int
-(** Latest recorded event id of a context ([-1] if none) — the handle
-    engines pass as [pred] for cross-context edges. *)
+    The engine writes intervals to {!log}; the notes below feed the
+    what-if and LBTS views. *)
 
 val note_mesh : t -> ctx:int -> int -> unit
 (** Mesh-hop picoseconds inside the context's current memory interval
     (feeds the zero-mesh what-if). *)
-
-val note_shared_access : t -> ctx:int -> unit
-(** One shared-DRAM line transfer (feeds the MPB-speed what-if). *)
 
 val set_machine :
   t -> cores:int -> cores_per_tile:int -> lookahead_ps:int -> unit
@@ -106,17 +64,12 @@ val finalize : t -> wall_ps:int -> mpb_line_ps:int -> unit
 
 (** {1 Accounting} *)
 
-val events : t -> int
 val dropped : t -> int
 val n_ctxs : t -> int
 val wall_ps : t -> int
-val account : t -> ctx:int -> cat:int -> int
-val account_events : t -> ctx:int -> cat:int -> int
+val account : t -> ctx:int -> cat:Evlog.cat -> int
 val account_totals : t -> int array
-(** Picoseconds per category, summed over contexts; length
-    {!n_categories}. *)
-
-val account_event_totals : t -> int array
+(** Picoseconds per {!Evlog.cat_index}, summed over contexts. *)
 
 val identity : t -> int * int
 (** [(sum of every charged ps, wall_ps * contexts)] — equal after
@@ -129,7 +82,7 @@ val identity_ok : t -> bool
 type step = {
   st_ctx : int;
   st_core : int;     (** -1 for idle padding *)
-  st_cat : int;
+  st_cat : Evlog.cat;
   st_dur : int;
   st_end_ps : int;
   st_fn : int;
@@ -143,9 +96,7 @@ val critical_path : t -> step list
 
 val path_span : step list -> int
 val path_by_category : step list -> int array * int array
-
-val path_contributors : step list -> (int * int * int * int * int) list
-(** [(fn_slot, line_slot, category, ps, steps)], heaviest first. *)
+(** Picoseconds and steps per {!Evlog.cat_index}. *)
 
 (** {1 What-if speedup ceilings} *)
 
@@ -190,9 +141,11 @@ val lookahead : ?parts:int -> t -> lookahead
 val flow_events : ?flow_id:int -> ?max_end_ps:int -> t -> Obs.Chrome.event list
 (** The critical path as one Perfetto flow chain (ph "s"/"t"/"f")
     bound to the trace slices (pid = core, tid = ctx).  Steps without a
-    trace slice (idle, sched) are skipped; [max_end_ps] clips the chain
-    when the trace buffer truncated, so the chain is always well-formed
-    — first event ["s"], last ["f"], no dangling ids. *)
+    trace slice (idle, sched, sync) are skipped.  The path walks only
+    retained log records, so against a {!Trace} over the same log every
+    arrow lies inside a retained slice; [max_end_ps] additionally clips
+    the chain at a time horizon.  The chain is always well-formed —
+    first event ["s"], last ["f"], no dangling ids. *)
 
 val register_metrics : t -> Obs.Registry.t -> unit
 (** Register [sim_account_ps_total{category="..."}] labelled counters
@@ -202,10 +155,6 @@ val render : ?profile:Profile.t -> t -> string
 (** Accounting table + identity line, critical-path summary with the
     heaviest {e function/line/category} contributors, and the what-if
     ceiling table. *)
-
-val render_account : t -> string
-val render_path : ?profile:Profile.t -> ?limit:int -> t -> string
-val render_whatifs : t -> string
 
 val to_json : ?profile:Profile.t -> t -> string
 (** The full report as one JSON document (the [--explain-json]

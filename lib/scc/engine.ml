@@ -145,6 +145,7 @@ type t = {
   trace : Trace.t option;
   profile : Profile.t option;
   critpath : Critpath.t option;
+  log : Evlog.t option;   (* written when a trace or a critpath observes *)
   (* machine-metric sampling state; [next_sample_ps] is [max_int] when
      profiling is off, so the hot path pays one compare *)
   mutable next_sample_ps : int;
@@ -196,6 +197,19 @@ let create ?(cfg = Config.default) ?trace ?profile ?critpath () =
       Critpath.set_machine cp ~cores:n
         ~cores_per_tile:cfg.Config.cores_per_tile ~lookahead_ps)
     critpath;
+  (* a trace and a critpath read one log, capped at the smaller limit *)
+  let log =
+    match trace, critpath with
+    | None, None -> None
+    | Some tr, None -> Some (Trace.log tr)
+    | None, Some cp -> Some (Critpath.log cp)
+    | Some tr, Some cp ->
+        let a = Trace.log tr and b = Critpath.log cp in
+        let log = if a.Evlog.limit <= b.Evlog.limit then a else b in
+        Trace.share_log tr log;
+        Critpath.share_log cp log;
+        Some log
+  in
   {
     cfg;
     mesh;
@@ -233,6 +247,7 @@ let create ?(cfg = Config.default) ?trace ?profile ?critpath () =
     trace;
     profile;
     critpath;
+    log;
     next_sample_ps =
       (match profile with
       | None -> max_int
@@ -317,40 +332,33 @@ let take_samples t p now =
   t.samp_last_ts <- now;
   t.next_sample_ps <- now + Profile.sample_interval_ps p
 
-(* One critpath event for [dur] ps of [cat] ending at the context's
-   current local time, stamped with the profiler's current frame.  All
-   critpath recording funnels through here so the disabled cost is one
-   option match per charge site. *)
-let cp_record t ctx cp ~cat ~dur ~end_ps ~pred =
-  let fn, line =
-    match t.profile with
-    | None -> (0, 0)
-    | Some p ->
-        ( Profile.current_fn_slot p ~ctx:ctx.id,
-          Profile.current_line_slot p ~ctx:ctx.id )
-  in
-  Critpath.record cp ~ctx:ctx.id ~core:ctx.core ~cat ~dur ~end_ps ~fn ~line
-    ~pred
-
-(* Record one timed interval: into the trace, into the event-dependency
-   graph ([pred] names the event the interval causally waited on), and —
-   when profiling — as picoseconds attributed to the context's current
-   source frame. *)
-let record_interval ?(pred = -1) t ctx ~start_ps ~end_ps kind =
-  (match t.trace with
+(* Every local-clock advance funnels through here: [dur] ps of [cat]
+   ending at [end_ps] go into the event log, stamped with the profiler's
+   current frame and [pred], the event the advance causally waited on
+   (-1 = program order only); the slice categories are also charged to
+   the profiler. *)
+let advance t ctx cat ~dur ~end_ps ~pred =
+  (match t.log with
   | None -> ()
-  | Some tr ->
-      Trace.record tr ~ctx:ctx.id ~core:ctx.core ~start_ps ~end_ps kind);
-  (match t.critpath with
-  | None -> ()
-  | Some cp ->
-      cp_record t ctx cp ~cat:(Trace.kind_index kind)
-        ~dur:(end_ps - start_ps) ~end_ps ~pred);
+  | Some log ->
+      let fn, line =
+        match t.profile with
+        | None -> (0, 0)
+        | Some p ->
+            ( Profile.current_fn_slot p ~ctx:ctx.id,
+              Profile.current_line_slot p ~ctx:ctx.id )
+      in
+      Evlog.record log ~ctx:ctx.id ~core:ctx.core ~cat ~dur ~end_ps ~fn ~line
+        ~pred);
   match t.profile with
-  | None -> ()
-  | Some p ->
-      Profile.charge p ~ctx:ctx.id ~kind (end_ps - start_ps);
+  | Some p when Evlog.is_slice cat ->
+      Profile.charge p ~ctx:ctx.id ~cat dur;
       if end_ps >= t.next_sample_ps then take_samples t p end_ps
+  | _ -> ()
+
+(* The latest logged event of a context: the [pred] handle for edges. *)
+let last_event t id =
+  match t.log with None -> -1 | Some log -> Evlog.last_event log ~ctx:id
 
 let memmap t = t.memmap
 let mesh t = t.mesh
@@ -514,18 +522,12 @@ let acquire_processor t ctx =
   (* the issue delay — core busy with another context plus the switch
      penalty — is scheduler wait, enabled by the previous owner's last
      event *)
-  (match t.critpath with
-  | None -> ()
-  | Some cp ->
-      if start > ctx.now then begin
-        let pred =
-          if proc.last_ctx >= 0 && proc.last_ctx <> ctx.id then
-            Critpath.last_event cp ~ctx:proc.last_ctx
-          else -1
-        in
-        cp_record t ctx cp ~cat:Critpath.cat_sched_wait
-          ~dur:(start - ctx.now) ~end_ps:start ~pred
-      end);
+  if start > ctx.now then
+    advance t ctx Evlog.Sched_wait ~dur:(start - ctx.now) ~end_ps:start
+      ~pred:
+        (if proc.last_ctx >= 0 && proc.last_ctx <> ctx.id then
+           last_event t proc.last_ctx
+         else -1);
   proc.last_ctx <- ctx.id;
   ctx.now <- start;
   start
@@ -554,7 +556,7 @@ let charge_compute t ctx dur =
     else dur
   in
   occupy_processor t ctx ~until:(start + dur);
-  record_interval t ctx ~start_ps:start ~end_ps:(start + dur) Trace.Compute
+  advance t ctx Evlog.Compute ~dur ~end_ps:(start + dur) ~pred:(-1)
 
 (* --- memory system ------------------------------------------------------ *)
 
@@ -625,9 +627,7 @@ let shared_line t ctx ~write addr =
   t.mesh_busy_ps <- t.mesh_busy_ps + (2 * out);
   (match t.critpath with
   | None -> ()
-  | Some cp ->
-      Critpath.note_mesh cp ~ctx:ctx.id (2 * out);
-      Critpath.note_shared_access cp ~ctx:ctx.id);
+  | Some cp -> Critpath.note_mesh cp ~ctx:ctx.id (2 * out));
   let base = ccx t ctx t.cfg.Config.dram_base_cycles in
   let arrive = ctx.now + base + out in
   let back = mc_round_trip t ~mc ~arrive in
@@ -670,11 +670,12 @@ let charge_access t ctx ~write addr =
     | _ -> invalid_arg "Engine.charge_access: bad address"
   in
   occupy_processor t ctx ~until:(start + dur);
-  record_interval t ctx ~start_ps:start ~end_ps:(start + dur)
+  advance t ctx
     (match kind with
-    | 0 -> Trace.Mem_private
-    | 1 -> Trace.Mem_shared
-    | _ -> Trace.Mem_mpb);
+     | 0 -> Evlog.Mem_private
+     | 1 -> Evlog.Mem_shared
+     | _ -> Evlog.Mem_mpb)
+    ~dur ~end_ps:(start + dur) ~pred:(-1);
   cs.Stats.mem_stall_ps <- cs.Stats.mem_stall_ps + (ctx.now - before)
 
 (* --- synchronization ---------------------------------------------------- *)
@@ -701,28 +702,24 @@ let release_barrier_waiters t ~key waiters =
       Profile.barrier_episode p ~key ~spread_ps:(max 0 (last - first)));
   (* every waiter's release is enabled by the last arriver: capture its
      latest event before the release intervals overwrite the cursors *)
+  let last_arriver =
+    List.fold_left
+      (fun acc (c, _) ->
+        if acc == no_ctx || c.now > acc.now
+           || (c.now = acc.now && c.id < acc.id)
+        then c
+        else acc)
+      no_ctx waiters
+  in
   let pred =
-    match t.critpath with
-    | None -> -1
-    | Some cp ->
-        let last_arriver =
-          List.fold_left
-            (fun acc (c, _) ->
-              if acc == no_ctx || c.now > acc.now
-                 || (c.now = acc.now && c.id < acc.id)
-              then c
-              else acc)
-            no_ctx waiters
-        in
-        if last_arriver == no_ctx then -1
-        else Critpath.last_event cp ~ctx:last_arriver.id
+    if last_arriver == no_ctx then -1 else last_event t last_arriver.id
   in
   List.iter
     (fun (c, k) ->
       c.stats.Stats.barrier_wait_ps <-
         c.stats.Stats.barrier_wait_ps + (release - c.now);
-      record_interval ~pred t c ~start_ps:c.now ~end_ps:release
-        Trace.Barrier_wait;
+      advance t c Evlog.Barrier_wait ~dur:(release - c.now) ~end_ps:release
+        ~pred;
       c.now <- release;
       c.status <- Ready;
       c.pending <- Some (Cont k);
@@ -785,12 +782,9 @@ let do_flag_set t ctx id value k =
   let f = get_flag t id in
   let before = ctx.now in
   ctx.now <- ctx.now + ccx t ctx t.cfg.Config.mpb_base_cycles;
-  (match t.critpath with
-  | None -> ()
-  | Some cp ->
-      cp_record t ctx cp ~cat:Critpath.cat_sync ~dur:(ctx.now - before)
-        ~end_ps:ctx.now ~pred:(-1);
-      f.set_ev <- Critpath.last_event cp ~ctx:ctx.id);
+  advance t ctx Evlog.Sync ~dur:(ctx.now - before) ~end_ps:ctx.now
+    ~pred:(-1);
+  f.set_ev <- last_event t ctx.id;
   f.value <- value;
   f.set_time <- ctx.now;
   if value then begin
@@ -798,11 +792,8 @@ let do_flag_set t ctx id value k =
       (fun (w, wk) ->
         let wbefore = w.now in
         w.now <- max w.now ctx.now + ccx t w t.cfg.Config.mpb_base_cycles;
-        (match t.critpath with
-        | None -> ()
-        | Some cp ->
-            cp_record t w cp ~cat:Critpath.cat_sync ~dur:(w.now - wbefore)
-              ~end_ps:w.now ~pred:f.set_ev);
+        advance t w Evlog.Sync ~dur:(w.now - wbefore) ~end_ps:w.now
+          ~pred:f.set_ev;
         w.status <- Ready;
         w.pending <- Some (Cont wk);
         ready_enqueue t w)
@@ -817,11 +808,8 @@ let do_flag_wait t ctx id k =
     let before = ctx.now in
     ctx.now <-
       max ctx.now f.set_time + ccx t ctx t.cfg.Config.mpb_base_cycles;
-    (match t.critpath with
-    | None -> ()
-    | Some cp ->
-        cp_record t ctx cp ~cat:Critpath.cat_sync ~dur:(ctx.now - before)
-          ~end_ps:ctx.now ~pred:f.set_ev);
+    advance t ctx Evlog.Sync ~dur:(ctx.now - before) ~end_ps:ctx.now
+      ~pred:f.set_ev;
     park_ready t ctx k
   end
   else begin
@@ -846,14 +834,10 @@ let do_acquire t ctx lock_id k =
       lock.held_by <- Some ctx.id;
       let before = ctx.now in
       ctx.now <- max ctx.now lock.free_time + lock_cost t ctx lock_id;
-      (match t.critpath with
-      | None -> ()
-      | Some cp ->
-          (* uncontended: the test-and-set round trip, plus any wait for
-             the register to come free after the previous release *)
-          cp_record t ctx cp ~cat:Critpath.cat_sync ~dur:(ctx.now - before)
-            ~end_ps:ctx.now
-            ~pred:(if lock.free_time > before then lock.free_ev else -1));
+      (* uncontended: the test-and-set round trip, plus any wait for the
+         register to come free after the previous release *)
+      advance t ctx Evlog.Sync ~dur:(ctx.now - before) ~end_ps:ctx.now
+        ~pred:(if lock.free_time > before then lock.free_ev else -1);
       (match t.profile with
       | None -> ()
       | Some p ->
@@ -880,12 +864,9 @@ let do_release t ctx lock_id k =
   lock.free_time <- ctx.now;
   (* the releaser's register round trip, then remember the release event:
      it is the holder edge for whoever wakes (or next acquires) *)
-  (match t.critpath with
-  | None -> ()
-  | Some cp ->
-      cp_record t ctx cp ~cat:Critpath.cat_sync ~dur:(ctx.now - before)
-        ~end_ps:ctx.now ~pred:(-1);
-      lock.free_ev <- Critpath.last_event cp ~ctx:ctx.id);
+  advance t ctx Evlog.Sync ~dur:(ctx.now - before) ~end_ps:ctx.now
+    ~pred:(-1);
+  lock.free_ev <- last_event t ctx.id;
   (match Queue.take_opt lock.waiters with
   | None -> lock.held_by <- None
   | Some (waiter, wk) ->
@@ -895,8 +876,8 @@ let do_release t ctx lock_id k =
       in
       waiter.stats.Stats.lock_wait_ps <-
         waiter.stats.Stats.lock_wait_ps + (wake - waiter.now);
-      record_interval ~pred:lock.free_ev t waiter ~start_ps:waiter.now
-        ~end_ps:wake Trace.Lock_wait;
+      advance t waiter Evlog.Lock_wait ~dur:(wake - waiter.now) ~end_ps:wake
+        ~pred:lock.free_ev;
       (match t.profile with
       | None -> ()
       | Some p ->
@@ -920,13 +901,8 @@ let finish_ctx t ctx =
       t.n_join_waiting <- t.n_join_waiting - 1;
       let before = waiter.now in
       waiter.now <- max waiter.now ctx.now;
-      (match t.critpath with
-      | None -> ()
-      | Some cp ->
-          if waiter.now > before then
-            cp_record t waiter cp ~cat:Critpath.cat_sync
-              ~dur:(waiter.now - before) ~end_ps:waiter.now
-              ~pred:(Critpath.last_event cp ~ctx:ctx.id));
+      advance t waiter Evlog.Sync ~dur:(waiter.now - before)
+        ~end_ps:waiter.now ~pred:(last_event t ctx.id);
       waiter.status <- Ready;
       waiter.pending <- Some (Cont k);
       ready_enqueue t waiter)
@@ -1044,14 +1020,8 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                               ~now:ctx.now in
                 (* the child's lane is idle from t=0 until the spawn:
                    pad it so its accounting also sums to the wall *)
-                (match t.critpath with
-                | None -> ()
-                | Some cp ->
-                    if child.now > 0 then
-                      Critpath.record cp ~ctx:child.id ~core:child.core
-                        ~cat:Critpath.cat_idle ~dur:child.now
-                        ~end_ps:child.now ~fn:0 ~line:0
-                        ~pred:(Critpath.last_event cp ~ctx:ctx.id));
+                advance t child Evlog.Idle ~dur:child.now ~end_ps:child.now
+                  ~pred:(last_event t ctx.id);
                 let api = make_api t child in
                 child.pending <- Some (Start (fun () -> program api));
                 Effect.Deep.continue k child.id)
@@ -1098,13 +1068,8 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                   if child.status = Finished then begin
                     let before = ctx.now in
                     ctx.now <- max ctx.now child.now;
-                    (match t.critpath with
-                    | None -> ()
-                    | Some cp ->
-                        if ctx.now > before then
-                          cp_record t ctx cp ~cat:Critpath.cat_sync
-                            ~dur:(ctx.now - before) ~end_ps:ctx.now
-                            ~pred:(Critpath.last_event cp ~ctx:child.id));
+                    advance t ctx Evlog.Sync ~dur:(ctx.now - before)
+                      ~end_ps:ctx.now ~pred:(last_event t child.id);
                     park_ready t ctx k
                   end
                   else begin

@@ -43,24 +43,25 @@ type t
 val create :
   ?cfg:Config.t -> ?trace:Trace.t -> ?profile:Profile.t ->
   ?critpath:Critpath.t -> unit -> t
-(** With [trace], every compute burst, memory access, barrier wait and
-    lock wait is recorded as a timed interval.  With [profile], the same
-    picoseconds are additionally attributed to each context's current
-    source frame (see {!Profile}), lock and barrier contention is
-    tabulated, and machine metrics (L1 hit rate, memory-controller queue
-    depth, mesh utilization) are sampled on the profile's interval.
+(** With [trace] or [critpath], {e every} local-clock advance — compute
+    bursts, memory stalls, barrier and lock waits, scheduler waits, sync
+    protocol costs and idle padding — is written once to an {!Evlog} with
+    its dependency edge (lock holder, barrier last-arriver, flag setter,
+    join target, spawn parent).  A trace and a critpath observing the
+    same run share that one log, capped at the smaller of their limits.
+    The trace draws its slice categories; the critpath's accounting
+    identity [sum == wall * contexts] holds exactly after {!run}, and
+    {!Critpath.critical_path} / {!Critpath.whatifs} explain where the
+    time went.  Every scheduler event is also reported to the critpath
+    ({!Critpath.note_event}), which yields the LBTS parallelism ceiling
+    ({!Critpath.lookahead}) of the run for any partitioning of the cores.
 
-    With [critpath], {e every} local-clock advance — including scheduler
-    waits, sync protocol costs and idle padding the trace never sees —
-    is reported to the causal recorder with its dependency edge (lock
-    holder, barrier last-arriver, flag setter, join target, spawn
-    parent), so that after {!run} the accounting identity
-    [sum == wall * contexts] holds exactly and {!Critpath.critical_path}
-    / {!Critpath.whatifs} explain where the time went.  Every scheduler
-    event is also reported ({!Critpath.note_event}), which yields the
-    LBTS parallelism ceiling ({!Critpath.lookahead}) of the run for any
-    partitioning of the cores.  All three are optional and cost nothing
-    when absent. *)
+    With [profile], the slice-category picoseconds are additionally
+    attributed to each context's current source frame (see {!Profile}),
+    lock and barrier contention is tabulated, and machine metrics (L1
+    hit rate, memory-controller queue depth, mesh utilization) are
+    sampled on the profile's interval.  All three are optional and cost
+    nothing when absent. *)
 
 val cfg : t -> Config.t
 val memmap : t -> Memmap.t

@@ -13,7 +13,7 @@ type t = {
   mutable fn_names : string array;
   fn_tbl : (string, int) Hashtbl.t;
   mutable n_fns : int;
-  mutable flat : int array array;   (* [kind].[slot] *)
+  mutable flat : int array array;   (* [cat].[slot], slice categories *)
   mutable incl : int array;         (* [slot] *)
   mutable calls : int array;        (* [slot] *)
   (* line slots *)
@@ -45,7 +45,7 @@ type t = {
   interval_ps : int;
   (* aggregate metrics *)
   reg : Obs.Registry.t;
-  kind_ctr : Obs.Counter.t array;    (* attributed ps per Trace.kind *)
+  kind_ctr : Obs.Counter.t array;    (* attributed ps per slice category *)
   lock_acq_ctr : Obs.Counter.t;
   lock_contended_ctr : Obs.Counter.t;
   lock_wait_hist : Obs.Histogram.t;
@@ -61,39 +61,26 @@ and barrier_cell = {
 
 let wait_bounds = [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000 |]
 
-let kind_metric_name k =
-  match k with
-  | Trace.Compute -> "sim_compute_ps_total"
-  | Trace.Mem_private -> "sim_mem_private_ps_total"
-  | Trace.Mem_shared -> "sim_mem_shared_ps_total"
-  | Trace.Mem_mpb -> "sim_mem_mpb_ps_total"
-  | Trace.Barrier_wait -> "sim_barrier_wait_ps_total"
-  | Trace.Lock_wait -> "sim_lock_wait_ps_total"
-
-let all_kinds =
-  [ Trace.Compute; Trace.Mem_private; Trace.Mem_shared; Trace.Mem_mpb;
-    Trace.Barrier_wait; Trace.Lock_wait ]
-
 let create ?(sample_interval_ps = 1_000_000) () =
   if sample_interval_ps <= 0 then
     invalid_arg "Profile.create: sample interval must be positive";
   let reg = Obs.Registry.create () in
+  (* one family per slice category: mem-private -> sim_mem_private_ps_total *)
   let kind_ctr =
-    Array.of_list
-      (List.map
-         (fun k ->
-           Obs.Registry.counter reg
-             ~help:("simulated picoseconds attributed to "
-                    ^ Trace.kind_to_string k)
-             (kind_metric_name k))
-         all_kinds)
+    Array.init Evlog.n_slice_cats (fun i ->
+        let name = Evlog.cat_name (Evlog.cat_of_index i) in
+        Obs.Registry.counter reg
+          ~help:("simulated picoseconds attributed to " ^ name)
+          ("sim_"
+          ^ String.map (function '-' -> '_' | c -> c) name
+          ^ "_ps_total"))
   in
   let t =
     {
       fn_names = Array.make 16 "";
       fn_tbl = Hashtbl.create 16;
       n_fns = 0;
-      flat = Array.init Trace.n_kinds (fun _ -> Array.make 16 0);
+      flat = Array.init Evlog.n_slice_cats (fun _ -> Array.make 16 0);
       incl = Array.make 16 0;
       calls = Array.make 16 0;
       line_names = Array.make 64 "";
@@ -152,7 +139,7 @@ let sample_interval_ps t = t.interval_ps
 
 (* --- growable storage ----------------------------------------------------- *)
 
-let grow_int_array a n fill =
+let grow a n fill =
   let cap = Array.length a in
   if n <= cap then a
   else begin
@@ -161,39 +148,19 @@ let grow_int_array a n fill =
     bigger
   end
 
-let grow_string_array a n =
-  let cap = Array.length a in
-  if n <= cap then a
-  else begin
-    let bigger = Array.make (max n (2 * max 1 cap)) "" in
-    Array.blit a 0 bigger 0 cap;
-    bigger
-  end
-
 let ensure_ctx t ctx =
   if ctx >= t.n_ctx then begin
     let n = ctx + 1 in
-    let old = t.n_ctx in
-    t.depths <- grow_int_array t.depths n 0;
-    t.cur_line <- grow_int_array t.cur_line n 0;
-    t.attr <- grow_int_array t.attr n 0;
-    let cap = Array.length t.stacks in
-    if n > cap then begin
-      let grow_2d a =
-        let bigger = Array.make (max n (2 * max 1 cap)) [||] in
-        Array.blit a 0 bigger 0 cap;
-        bigger
-      in
-      t.stacks <- grow_2d t.stacks;
-      t.marks <- grow_2d t.marks;
-      t.onstack <- grow_2d t.onstack
-    end;
-    for c = old to n - 1 do
-      if Array.length t.stacks.(c) = 0 then begin
-        t.stacks.(c) <- Array.make 16 0;
-        t.marks.(c) <- Array.make 16 0;
-        t.onstack.(c) <- Array.make 16 0
-      end
+    t.depths <- grow t.depths n 0;
+    t.cur_line <- grow t.cur_line n 0;
+    t.attr <- grow t.attr n 0;
+    t.stacks <- grow t.stacks n [||];
+    t.marks <- grow t.marks n [||];
+    t.onstack <- grow t.onstack n [||];
+    for c = t.n_ctx to n - 1 do
+      t.stacks.(c) <- Array.make 16 0;
+      t.marks.(c) <- Array.make 16 0;
+      t.onstack.(c) <- Array.make 16 0
     done;
     t.n_ctx <- n
   end
@@ -204,12 +171,12 @@ let intern t name =
   | None ->
       let slot = t.n_fns in
       t.n_fns <- slot + 1;
-      t.fn_names <- grow_string_array t.fn_names t.n_fns;
+      t.fn_names <- grow t.fn_names t.n_fns "";
       t.fn_names.(slot) <- name;
-      t.incl <- grow_int_array t.incl t.n_fns 0;
-      t.calls <- grow_int_array t.calls t.n_fns 0;
-      for k = 0 to Trace.n_kinds - 1 do
-        t.flat.(k) <- grow_int_array t.flat.(k) t.n_fns 0
+      t.incl <- grow t.incl t.n_fns 0;
+      t.calls <- grow t.calls t.n_fns 0;
+      for k = 0 to Evlog.n_slice_cats - 1 do
+        t.flat.(k) <- grow t.flat.(k) t.n_fns 0
       done;
       Hashtbl.replace t.fn_tbl name slot;
       slot
@@ -220,9 +187,9 @@ let intern_line t key =
   | None ->
       let slot = t.n_lines in
       t.n_lines <- slot + 1;
-      t.line_names <- grow_string_array t.line_names t.n_lines;
+      t.line_names <- grow t.line_names t.n_lines "";
       t.line_names.(slot) <- key;
-      t.line_ps <- grow_int_array t.line_ps t.n_lines 0;
+      t.line_ps <- grow t.line_ps t.n_lines 0;
       Hashtbl.replace t.line_tbl key slot;
       slot
 
@@ -233,13 +200,13 @@ let push t ~ctx slot =
   let d = t.depths.(ctx) in
   let stack = t.stacks.(ctx) in
   if d = Array.length stack then begin
-    t.stacks.(ctx) <- grow_int_array stack (d + 1) 0;
-    t.marks.(ctx) <- grow_int_array t.marks.(ctx) (d + 1) 0
+    t.stacks.(ctx) <- grow stack (d + 1) 0;
+    t.marks.(ctx) <- grow t.marks.(ctx) (d + 1) 0
   end;
   let on = t.onstack.(ctx) in
   let on =
     if slot >= Array.length on then begin
-      let bigger = grow_int_array on (slot + 1) 0 in
+      let bigger = grow on (slot + 1) 0 in
       t.onstack.(ctx) <- bigger;
       bigger
     end
@@ -274,10 +241,10 @@ let finalize t =
 
 (* --- charging --------------------------------------------------------------- *)
 
-let charge t ~ctx ~kind dur =
+let charge t ~ctx ~cat dur =
   if dur > 0 then begin
     ensure_ctx t ctx;
-    let k = Trace.kind_index kind in
+    let k = Evlog.cat_index cat in
     let d = t.depths.(ctx) in
     let slot = if d = 0 then 0 else t.stacks.(ctx).(d - 1) in
     t.flat.(k).(slot) <- t.flat.(k).(slot) + dur;
@@ -291,12 +258,12 @@ let charge t ~ctx ~kind dur =
 let ensure_lock t lock =
   if lock >= t.n_locks then begin
     let n = lock + 1 in
-    t.lock_names <- grow_string_array t.lock_names n;
-    t.lock_acqs <- grow_int_array t.lock_acqs n 0;
-    t.lock_contended <- grow_int_array t.lock_contended n 0;
-    t.lock_wait <- grow_int_array t.lock_wait n 0;
-    t.lock_max_wait <- grow_int_array t.lock_max_wait n 0;
-    t.lock_max_holder <- grow_int_array t.lock_max_holder n (-1);
+    t.lock_names <- grow t.lock_names n "";
+    t.lock_acqs <- grow t.lock_acqs n 0;
+    t.lock_contended <- grow t.lock_contended n 0;
+    t.lock_wait <- grow t.lock_wait n 0;
+    t.lock_max_wait <- grow t.lock_max_wait n 0;
+    t.lock_max_holder <- grow t.lock_max_holder n (-1);
     t.n_locks <- n
   end
 
@@ -364,7 +331,7 @@ type fn_row = {
 let functions t =
   let rows = ref [] in
   for slot = t.n_fns - 1 downto 0 do
-    let flat = Array.init Trace.n_kinds (fun k -> t.flat.(k).(slot)) in
+    let flat = Array.init Evlog.n_slice_cats (fun k -> t.flat.(k).(slot)) in
     let total = Array.fold_left ( + ) 0 flat in
     if total > 0 || t.incl.(slot) > 0 then
       rows :=

@@ -46,9 +46,9 @@ val finalize : t -> unit
 
 (** {1 Charging} (engine side) *)
 
-val charge : t -> ctx:int -> kind:Trace.kind -> int -> unit
-(** Attribute picoseconds of [kind] to the context's current frame and
-    line. *)
+val charge : t -> ctx:int -> cat:Evlog.cat -> int -> unit
+(** Attribute picoseconds of a slice category ({!Evlog.is_slice}) to the
+    context's current frame and line. *)
 
 val lock_acquired : t -> lock:int -> wait_ps:int -> holder:int -> unit
 (** One acquisition of an engine lock; [wait_ps] is 0 and [holder] is
@@ -78,7 +78,7 @@ val n_ctxs : t -> int
 type fn_row = {
   fn_name : string;
   fn_calls : int;
-  fn_flat_ps : int array;  (** per {!Trace.kind_index} *)
+  fn_flat_ps : int array;  (** per {!Evlog.cat_index}, slice categories *)
   fn_flat_total_ps : int;
   fn_incl_ps : int;        (** inclusive: self plus callees *)
 }

@@ -1,148 +1,83 @@
-(* Execution tracing: timed intervals per context, exportable in the
-   Chrome tracing JSON format (chrome://tracing, Perfetto) so a
-   simulation's interleaving can be inspected visually.
+(* Execution tracing: a view over the slice categories of an event log,
+   exportable in the Chrome tracing JSON format (chrome://tracing,
+   Perfetto) so a simulation's interleaving can be inspected visually.
+   Drops are the log's, counted and surfaced ([dropped]), so a truncated
+   trace is always visibly truncated. *)
 
-   Events live in a growable flat buffer (not a reversed list): recording
-   is an array store, iteration is already in recording order, and
-   aggregation is a single array pass.  Recording past [limit] does not
-   silently stop — drops are counted and surfaced ([dropped]), so a
-   truncated trace is always visibly truncated. *)
+type t = { mutable log : Evlog.t }
 
-type kind =
-  | Compute
-  | Mem_private
-  | Mem_shared
-  | Mem_mpb
-  | Barrier_wait
-  | Lock_wait
+let create ?limit () = { log = Evlog.create ?limit () }
+let log t = t.log
+let share_log t log = t.log <- log
 
-let n_kinds = 6
-
-let kind_index = function
-  | Compute -> 0
-  | Mem_private -> 1
-  | Mem_shared -> 2
-  | Mem_mpb -> 3
-  | Barrier_wait -> 4
-  | Lock_wait -> 5
-
-let kind_to_string = function
-  | Compute -> "compute"
-  | Mem_private -> "private-mem"
-  | Mem_shared -> "shared-dram"
-  | Mem_mpb -> "mpb"
-  | Barrier_wait -> "barrier"
-  | Lock_wait -> "lock"
-
-type event = {
-  ctx : int;
-  core : int;
-  start_ps : int;
-  end_ps : int;
-  kind : kind;
-}
-
-type t = {
-  mutable buf : event array;
-  mutable len : int;
-  limit : int;
-  mutable n_dropped : int;
-}
-
-let dummy_event =
-  { ctx = 0; core = 0; start_ps = 0; end_ps = 0; kind = Compute }
-
-let create ?(limit = 1_000_000) () =
-  { buf = Array.make 1024 dummy_event; len = 0; limit; n_dropped = 0 }
-
-let record t ~ctx ~core ~start_ps ~end_ps kind =
-  if end_ps > start_ps then begin
-    if t.len >= t.limit then t.n_dropped <- t.n_dropped + 1
-    else begin
-      let cap = Array.length t.buf in
-      if t.len = cap then begin
-        let bigger =
-          Array.make (min t.limit (max 1024 (2 * cap))) dummy_event
-        in
-        Array.blit t.buf 0 bigger 0 cap;
-        t.buf <- bigger
-      end;
-      t.buf.(t.len) <- { ctx; core; start_ps; end_ps; kind };
-      t.len <- t.len + 1
-    end
-  end
-
-let events t = Array.to_list (Array.sub t.buf 0 t.len)
+let record t ~ctx ~core ~start_ps ~end_ps cat =
+  Evlog.record t.log ~ctx ~core ~cat ~dur:(end_ps - start_ps) ~end_ps ~fn:0
+    ~line:0 ~pred:(-1)
 
 let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.buf.(i)
+  let l = t.log in
+  for i = 0 to l.len - 1 do
+    let c = l.e_cat.(i) in
+    if c < Evlog.n_slice_cats then
+      f ~ctx:l.e_ctx.(i) ~core:l.e_core.(i)
+        ~start_ps:(l.e_end.(i) - l.e_dur.(i)) ~end_ps:l.e_end.(i)
+        (Evlog.cat_of_index c)
   done
 
-let length t = t.len
+let length t = Evlog.slices t.log
+let dropped t = Evlog.dropped_slices t.log
 
-let dropped t = t.n_dropped
-
-(* Total busy picoseconds per kind, per context: one pass over the
-   buffer into a fixed per-kind accumulator. *)
 let busy_by_kind t ~ctx =
-  let acc = Array.make n_kinds 0 in
-  for i = 0 to t.len - 1 do
-    let e = t.buf.(i) in
-    if e.ctx = ctx then
-      let k = kind_index e.kind in
-      acc.(k) <- acc.(k) + (e.end_ps - e.start_ps)
-  done;
-  let kinds =
-    [ Compute; Mem_private; Mem_shared; Mem_mpb; Barrier_wait; Lock_wait ]
-  in
+  let acc = Array.make Evlog.n_slice_cats 0 in
+  iter t (fun ~ctx:c ~core:_ ~start_ps ~end_ps cat ->
+      if c = ctx then begin
+        let i = Evlog.cat_index cat in
+        acc.(i) <- acc.(i) + (end_ps - start_ps)
+      end);
   List.filter_map
-    (fun k ->
-      let v = acc.(kind_index k) in
-      if v > 0 then Some (k, v) else None)
-    kinds
+    (fun cat ->
+      let i = Evlog.cat_index cat in
+      if i < Evlog.n_slice_cats && acc.(i) > 0 then Some (cat, acc.(i))
+      else None)
+    Evlog.all_cats
 
 let max_end_ps t =
   let acc = ref 0 in
-  for i = 0 to t.len - 1 do
-    if t.buf.(i).end_ps > !acc then acc := t.buf.(i).end_ps
-  done;
+  iter t (fun ~ctx:_ ~core:_ ~start_ps:_ ~end_ps _ ->
+      if end_ps > !acc then acc := end_ps);
   !acc
 
-let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  for i = 0 to t.len - 1 do
-    let e = t.buf.(i) in
-    if i > 0 then Buffer.add_string buf ",\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         {|{"name":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d}|}
-         (kind_to_string e.kind)
-         (float_of_int e.start_ps /. 1e6)
-         (float_of_int (e.end_ps - e.start_ps) /. 1e6)
-         e.core e.ctx)
-  done;
-  Buffer.add_string buf "]\n";
-  Buffer.contents buf
-
-(* The same intervals as [Obs.Chrome] events, for merging with other
-   tracks (compiler spans, profiler counter timelines) in one file. *)
 let to_chrome_events t =
+  let l = t.log in
   let acc = ref [] in
-  for i = t.len - 1 downto 0 do
-    let e = t.buf.(i) in
-    acc :=
-      Obs.Chrome.Complete
-        {
-          name = kind_to_string e.kind;
-          cat = "sim";
-          pid = e.core;
-          tid = e.ctx;
-          ts_us = float_of_int e.start_ps /. 1e6;
-          dur_us = float_of_int (e.end_ps - e.start_ps) /. 1e6;
-          args = [];
-        }
-      :: !acc
+  for i = l.len - 1 downto 0 do
+    let c = l.e_cat.(i) in
+    if c < Evlog.n_slice_cats then
+      acc :=
+        Obs.Chrome.Complete
+          {
+            name = Evlog.cat_name (Evlog.cat_of_index c);
+            cat = "sim";
+            pid = l.e_core.(i);
+            tid = l.e_ctx.(i);
+            ts_us = float_of_int (l.e_end.(i) - l.e_dur.(i)) /. 1e6;
+            dur_us = float_of_int l.e_dur.(i) /. 1e6;
+            args = [];
+          }
+        :: !acc
   done;
   !acc
+
+let write_chrome ?profile ?critpath t path =
+  Obs.Chrome.write_merge path
+    (to_chrome_events t
+    @ (match profile with None -> [] | Some p -> Profile.counter_events p)
+    @ match critpath with None -> [] | Some cp -> Critpath.flow_events cp);
+  if dropped t = 0 then None
+  else
+    Some
+      (Printf.sprintf
+         "trace truncated, %d events dropped past the buffer limit%s"
+         (dropped t)
+         (if Option.is_none critpath then ""
+          else "; the critical path covers the retained events only"))

@@ -79,12 +79,13 @@ let test_identity_unperturbed () =
     (Scc.Critpath.wall_ps cp);
   Alcotest.(check bool) "identity" true (Scc.Critpath.identity_ok cp);
   for ctx = 0 to Scc.Critpath.n_ctxs cp1 - 1 do
-    for cat = 0 to Scc.Critpath.n_categories - 1 do
-      Alcotest.(check int)
-        (Printf.sprintf "account ctx=%d cat=%d" ctx cat)
-        (Scc.Critpath.account cp1 ~ctx ~cat)
-        (Scc.Critpath.account cp ~ctx ~cat)
-    done
+    List.iter
+      (fun cat ->
+        Alcotest.(check int)
+          (Printf.sprintf "account ctx=%d cat=%s" ctx (Scc.Evlog.cat_name cat))
+          (Scc.Critpath.account cp1 ~ctx ~cat)
+          (Scc.Critpath.account cp ~ctx ~cat))
+      Scc.Evlog.all_cats
   done
 
 (* ---------------------------------------------------------------- *)
@@ -184,7 +185,7 @@ let test_zero_lock_matches_profiler () =
   in
   Alcotest.(check bool) "the workload contends" true (profiler_wait > 0);
   let accounted =
-    (Scc.Critpath.account_totals cp).(Scc.Critpath.cat_lock_wait)
+    (Scc.Critpath.account_totals cp).(Scc.Evlog.cat_index Scc.Evlog.Lock_wait)
   in
   Alcotest.(check int) "lock-wait account == profiler lock table"
     profiler_wait accounted;
@@ -223,7 +224,7 @@ let test_opt_shared_collapse () =
   Alcotest.(check bool) "identity holds, -O" true
     (Scc.Critpath.identity_ok opt_cp);
   let shared cp =
-    (Scc.Critpath.account_totals cp).(Scc.Critpath.cat_mem_shared)
+    (Scc.Critpath.account_totals cp).(Scc.Evlog.cat_index Scc.Evlog.Mem_shared)
   in
   (* the PR 7 collapse (65560 -> 32 shared loads at this scale) must
      show up in the --explain accounting, not just the stats counter *)
@@ -299,6 +300,52 @@ let test_flow_truncation () =
   (* unclipped, the chain is well-formed too *)
   check_flow_chain (Scc.Critpath.flow_events cp)
 
+(* Every flow arrow must land inside a retained trace slice of the same
+   core and context, however hard the trace truncates: the chain as
+   `Trace.write_chrome` emits it (unclipped) and as clipped at the trace
+   horizon, the way perfbench's observe workload still builds it. *)
+let test_flows_bind_to_slices () =
+  let check file ncores limit =
+    let program = parse (Filename.concat (data_dir "examples/c") file) in
+    let translated = translate ~ncores ~optimize:false program in
+    let trace = Scc.Trace.create ~limit () in
+    let cp = Scc.Critpath.create () in
+    ignore (Cexec.Interp.run_rcce ~trace ~critpath:cp ~ncores translated);
+    let slices = Hashtbl.create 256 in
+    List.iter
+      (function
+        | Obs.Chrome.Complete { pid; tid; ts_us; dur_us; _ } ->
+            Hashtbl.add slices (pid, tid) (ts_us, ts_us +. dur_us)
+        | _ -> ())
+      (Scc.Trace.to_chrome_events trace);
+    let unbound flows =
+      List.length
+        (List.filter
+           (function
+             | Obs.Chrome.Flow { pid; tid; ts_us; _ } ->
+                 not
+                   (List.exists
+                      (fun (lo, hi) -> lo <= ts_us && ts_us <= hi)
+                      (Hashtbl.find_all slices (pid, tid)))
+             | _ -> false)
+           flows)
+    in
+    let label clip =
+      Printf.sprintf "%s, %d cores, trace limit %d%s: arrows off any slice"
+        file ncores limit clip
+    in
+    Alcotest.(check int) (label ", clipped") 0
+      (unbound
+         (Scc.Critpath.flow_events ~max_end_ps:(Scc.Trace.max_end_ps trace)
+            cp));
+    Alcotest.(check int) (label "") 0 (unbound (Scc.Critpath.flow_events cp))
+  in
+  List.iter
+    (fun limit ->
+      check "hot_loop.c" 8 limit;
+      check "unlocked_counter.c" 4 limit)
+    [ 64; 128; 256; 1024 ]
+
 (* ---------------------------------------------------------------- *)
 (* critical path sanity on a bare engine run *)
 
@@ -326,7 +373,7 @@ let test_path_sanity () =
     (Array.fold_left ( + ) 0 by_cat);
   (* single context, one core: no scheduler wait on the path *)
   Alcotest.(check int) "no sched-wait for a lone context" 0
-    by_cat.(Scc.Critpath.cat_sched_wait)
+    by_cat.(Scc.Evlog.cat_index Scc.Evlog.Sched_wait)
 
 (* ---------------------------------------------------------------- *)
 (* report surfaces *)
@@ -380,6 +427,8 @@ let suite =
       test_opt_shared_collapse;
     Alcotest.test_case "flows well-formed under truncation" `Quick
       test_flow_truncation;
+    Alcotest.test_case "flows bind to retained slices" `Quick
+      test_flows_bind_to_slices;
     Alcotest.test_case "critical path sanity" `Quick test_path_sanity;
     Alcotest.test_case "render + json" `Quick test_render_and_json;
     Alcotest.test_case "registry metrics" `Quick test_registry_metrics;

@@ -28,11 +28,11 @@ let manual_profile () =
   let f = Scc.Profile.intern p "f" in
   let g = Scc.Profile.intern p "g" in
   Scc.Profile.push p ~ctx:0 f;
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Compute 1_000;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Compute 1_000;
   Scc.Profile.push p ~ctx:0 g;
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Mem_shared 500;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Mem_shared 500;
   Scc.Profile.pop p ~ctx:0;
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Compute 250;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Compute 250;
   Scc.Profile.pop p ~ctx:0;
   p
 
@@ -45,7 +45,7 @@ let test_flat_and_inclusive () =
   Alcotest.(check int) "g inclusive" 500 g.Scc.Profile.fn_incl_ps;
   Alcotest.(check int) "f compute kind"
     1_250
-    f.Scc.Profile.fn_flat_ps.(Scc.Trace.kind_index Scc.Trace.Compute);
+    f.Scc.Profile.fn_flat_ps.(Scc.Evlog.cat_index Scc.Evlog.Compute);
   Alcotest.(check int) "ctx total" 1_750 (Scc.Profile.attributed_ps p ~ctx:0);
   Alcotest.(check int) "grand total" 1_750 (Scc.Profile.total_attributed_ps p)
 
@@ -53,9 +53,9 @@ let test_recursion_not_double_counted () =
   let p = Scc.Profile.create () in
   let f = Scc.Profile.intern p "f" in
   Scc.Profile.push p ~ctx:0 f;
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Compute 100;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Compute 100;
   Scc.Profile.push p ~ctx:0 f;          (* recursive re-entry *)
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Compute 100;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Compute 100;
   Scc.Profile.pop p ~ctx:0;
   Scc.Profile.pop p ~ctx:0;
   Alcotest.(check int) "inclusive = one activation" 200
@@ -63,10 +63,10 @@ let test_recursion_not_double_counted () =
 
 let test_toplevel_and_unwound_frames () =
   let p = Scc.Profile.create () in
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Compute 50;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Compute 50;
   let f = Scc.Profile.intern p "f" in
   Scc.Profile.push p ~ctx:0 f;
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Compute 75;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Compute 75;
   (* no pop: thread_exit-style unwinding leaves the frame open *)
   Scc.Profile.finalize p;
   Alcotest.(check int) "empty stack charges <toplevel>" 50
@@ -81,11 +81,11 @@ let test_line_heat () =
   let l2 = Scc.Profile.intern_line p "w.c:7" in
   Scc.Profile.push p ~ctx:0 f;
   Scc.Profile.set_line p ~ctx:0 l1;
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Compute 10;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Compute 10;
   Scc.Profile.set_line p ~ctx:0 l2;
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Compute 30;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Compute 30;
   Scc.Profile.set_line p ~ctx:0 l1;
-  Scc.Profile.charge p ~ctx:0 ~kind:Scc.Trace.Mem_shared 15;
+  Scc.Profile.charge p ~ctx:0 ~cat:Scc.Evlog.Mem_shared 15;
   Scc.Profile.pop p ~ctx:0;
   Alcotest.(check (list (pair string int))) "hottest first"
     [ ("w.c:7", 30); ("w.c:3", 25) ]
@@ -210,9 +210,9 @@ let test_registry_totals_match_flat () =
         (metric ^ " matches the trace")
         true
         (contains prom (Printf.sprintf "%s %d\n" metric (traced kind))))
-    [ (Scc.Trace.Compute, "sim_compute_ps_total");
-      (Scc.Trace.Mem_shared, "sim_mem_shared_ps_total");
-      (Scc.Trace.Barrier_wait, "sim_barrier_wait_ps_total") ]
+    [ (Scc.Evlog.Compute, "sim_compute_ps_total");
+      (Scc.Evlog.Mem_shared, "sim_mem_shared_ps_total");
+      (Scc.Evlog.Barrier_wait, "sim_barrier_wait_ps_total") ]
 
 let test_barrier_imbalance_recorded () =
   let _, _, profile =

@@ -19,41 +19,36 @@ let run_traced () =
 
 let test_events_recorded () =
   let _, trace = run_traced () in
-  let kinds =
-    List.sort_uniq compare
-      (List.map
-         (fun (e : Scc.Trace.event) -> Scc.Trace.kind_to_string e.Scc.Trace.kind)
-         (Scc.Trace.events trace))
-  in
+  let names = ref [] in
+  Scc.Trace.iter trace (fun ~ctx:_ ~core:_ ~start_ps:_ ~end_ps:_ cat ->
+      names := Scc.Evlog.cat_name cat :: !names);
+  let kinds = List.sort_uniq compare !names in
   List.iter
     (fun k ->
       if not (List.mem k kinds) then
         Alcotest.failf "missing %s events (have: %s)" k
           (String.concat ", " kinds))
-    [ "compute"; "shared-dram"; "mpb"; "barrier" ]
+    [ "compute"; "mem-shared"; "mem-mpb"; "barrier-wait" ]
 
 let test_intervals_well_formed () =
   let eng, trace = run_traced () in
   let horizon = Scc.Engine.elapsed_ps eng in
-  List.iter
-    (fun (e : Scc.Trace.event) ->
-      if e.Scc.Trace.start_ps < 0 || e.Scc.Trace.end_ps > horizon
-         || e.Scc.Trace.start_ps >= e.Scc.Trace.end_ps then
-        Alcotest.failf "bad interval [%d, %d] (horizon %d)"
-          e.Scc.Trace.start_ps e.Scc.Trace.end_ps horizon)
-    (Scc.Trace.events trace)
+  Scc.Trace.iter trace (fun ~ctx:_ ~core:_ ~start_ps ~end_ps _ ->
+      if start_ps < 0 || end_ps > horizon || start_ps >= end_ps then
+        Alcotest.failf "bad interval [%d, %d] (horizon %d)" start_ps end_ps
+          horizon)
 
 let test_busy_accounting () =
   let _, trace = run_traced () in
   let busy = Scc.Trace.busy_by_kind trace ~ctx:0 in
-  let compute = try List.assoc Scc.Trace.Compute busy with Not_found -> 0 in
+  let compute = try List.assoc Scc.Evlog.Compute busy with Not_found -> 0 in
   Alcotest.(check int) "1000 cycles of compute traced"
     (Scc.Config.core_cycles_ps Scc.Config.default 1_000)
     compute
 
 let test_chrome_json_shape () =
   let _, trace = run_traced () in
-  let json = Scc.Trace.to_chrome_json trace in
+  let json = Obs.Chrome.to_json (Scc.Trace.to_chrome_events trace) in
   Alcotest.(check bool) "array brackets" true
     (String.length json > 2 && json.[0] = '[');
   let contains needle =
@@ -62,13 +57,13 @@ let test_chrome_json_shape () =
     scan 0
   in
   Alcotest.(check bool) "duration events" true (contains {|"ph":"X"|});
-  Alcotest.(check bool) "kind names present" true (contains "shared-dram")
+  Alcotest.(check bool) "kind names present" true (contains "mem-shared")
 
 let test_limit_respected () =
   let trace = Scc.Trace.create ~limit:3 () in
   for i = 0 to 9 do
     Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:(i * 10)
-      ~end_ps:((i * 10) + 5) Scc.Trace.Compute
+      ~end_ps:((i * 10) + 5) Scc.Evlog.Compute
   done;
   Alcotest.(check int) "capped at 3" 3 (Scc.Trace.length trace)
 
@@ -82,11 +77,11 @@ let test_drops_counted () =
   let trace = Scc.Trace.create ~limit:3 () in
   for i = 0 to 9 do
     Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:(i * 10)
-      ~end_ps:((i * 10) + 5) Scc.Trace.Compute
+      ~end_ps:((i * 10) + 5) Scc.Evlog.Compute
   done;
   (* zero-length intervals are skipped without counting as drops *)
   Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:200 ~end_ps:200
-    Scc.Trace.Compute;
+    Scc.Evlog.Compute;
   Alcotest.(check int) "kept" 3 (Scc.Trace.length trace);
   Alcotest.(check int) "dropped" 7 (Scc.Trace.dropped trace);
   let fresh = Scc.Trace.create () in
@@ -97,18 +92,18 @@ let test_max_end_ps () =
   let trace = Scc.Trace.create () in
   Alcotest.(check int) "empty" 0 (Scc.Trace.max_end_ps trace);
   Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:0 ~end_ps:50
-    Scc.Trace.Compute;
+    Scc.Evlog.Compute;
   Scc.Trace.record trace ~ctx:1 ~core:1 ~start_ps:10 ~end_ps:900
-    Scc.Trace.Mem_shared;
+    Scc.Evlog.Mem_shared;
   Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:60 ~end_ps:80
-    Scc.Trace.Barrier_wait;
+    Scc.Evlog.Barrier_wait;
   Alcotest.(check int) "latest end" 900 (Scc.Trace.max_end_ps trace)
 
 (* --- property: exported Chrome events are well-formed --------------------- *)
 
 let all_kinds =
-  [| Scc.Trace.Compute; Scc.Trace.Mem_private; Scc.Trace.Mem_shared;
-     Scc.Trace.Mem_mpb; Scc.Trace.Barrier_wait; Scc.Trace.Lock_wait |]
+  [| Scc.Evlog.Compute; Scc.Evlog.Mem_private; Scc.Evlog.Mem_shared;
+     Scc.Evlog.Mem_mpb; Scc.Evlog.Barrier_wait; Scc.Evlog.Lock_wait |]
 
 let gen_intervals =
   QCheck.Gen.(
@@ -168,7 +163,8 @@ let qcheck_chrome_events_well_formed =
                   ts_us dur_us horizon_us
           | _ -> ())
         (Scc.Trace.to_chrome_events trace);
-      if not (json_balanced (Scc.Trace.to_chrome_json trace)) then
+      let json = Obs.Chrome.to_json (Scc.Trace.to_chrome_events trace) in
+      if not (json_balanced json) then
         QCheck.Test.fail_report "unbalanced chrome json";
       true)
 
@@ -182,7 +178,7 @@ let qcheck_busy_equals_event_sum =
       List.iter
         (fun (ctx, _, len, k) ->
           if len > 0 then
-            let key = (ctx, Scc.Trace.kind_index all_kinds.(k)) in
+            let key = (ctx, Scc.Evlog.cat_index all_kinds.(k)) in
             Hashtbl.replace expected key
               (len
               + try Hashtbl.find expected key with Not_found -> 0))
@@ -190,7 +186,7 @@ let qcheck_busy_equals_event_sum =
       for ctx = 0 to 7 do
         List.iter
           (fun (kind, ps) ->
-            let k = Scc.Trace.kind_index kind in
+            let k = Scc.Evlog.cat_index kind in
             let want =
               try Hashtbl.find expected (ctx, k) with Not_found -> 0
             in
