@@ -274,6 +274,12 @@ let cfg_cmd path func =
 
 let run_cmd path ncores detect_races diag_format profile_on trace_out
     explain_on explain_json =
+  let max_cores = Scc.Config.n_cores Scc.Config.default in
+  if ncores < 1 || ncores > max_cores then begin
+    Printf.eprintf "hsmcc: --cores must be between 1 and %d, got %d\n"
+      max_cores ncores;
+    exit 1
+  end;
   let program = or_die (parse_source path) in
   let trace = Option.map (fun _ -> Scc.Trace.create ()) trace_out in
   let explain = explain_on || explain_json <> None in
@@ -478,8 +484,8 @@ let verify_cmd_info =
 let run_cores_arg =
   Arg.(value & opt int 1
        & info [ "cores" ] ~docv:"N"
-           ~doc:"Interpret as an RCCE program on N cores (1 = Pthread \
-                 single-core baseline).")
+           ~doc:"Interpret as an RCCE program on N cores, 1 to the chip's \
+                 48 (1 = Pthread single-core baseline).")
 
 let detect_races_arg =
   Arg.(value & flag

@@ -36,6 +36,23 @@ let run_cmd name name_flag mode units trace_out profile_on
             exit 1
       in
       let cfg = Scc.Config.default in
+      (* RCCE units are cores of the chip; Pthread units are threads
+         time-sharing one core, so only the RCCE modes have a ceiling *)
+      let max_units =
+        match mode with
+        | Workloads.Workload.Pthread_baseline _ -> max_int
+        | Workloads.Workload.Rcce _ -> Scc.Config.n_cores cfg
+      in
+      if units < 1 then begin
+        Printf.eprintf "simrun: --units must be at least 1, got %d\n" units;
+        exit 1
+      end;
+      if units > max_units then begin
+        Printf.eprintf
+          "simrun: --units must be at most %d in the RCCE modes, got %d\n"
+          max_units units;
+        exit 1
+      end;
       let trace = Option.map (fun _ -> Scc.Trace.create ()) trace_out in
       let explain = explain_on || explain_json <> None in
       let profile =
@@ -137,7 +154,9 @@ let mode_arg =
 
 let units_arg =
   Arg.(value & opt int 32
-       & info [ "units" ] ~docv:"N" ~doc:"Threads or cores.")
+       & info [ "units" ] ~docv:"N"
+           ~doc:"Threads (pthread, at least 1) or cores (RCCE modes, 1 to \
+                 the chip's 48).")
 
 let verbose_arg =
   Arg.(value & flag

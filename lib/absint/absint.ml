@@ -1,17 +1,14 @@
 open Cfront
 
-(* Library facade: mode detection and the concrete interval
-   instantiation of the thread-modular engine. *)
+(* Library facade: mode detection and the thread-modular engine's entry
+   point. *)
 
-module Domain_sig = Domain_sig
 module Itv = Itv
 module Aval = Aval
 module Oblig = Oblig
 module Engine = Engine
 module Report = Report
 module Sharpen = Sharpen
-
-module Interval_engine = Engine.Make (Itv)
 
 (* A program is analyzed under RCCE semantics when it defines the
    [RCCE_APP] entry point (the shape [lib/translate] emits); everything
@@ -22,7 +19,7 @@ let detect_mode (program : Ast.program) =
 
 let analyze ?mode ?(interference = true) ~ncores (program : Ast.program) =
   let mode = match mode with Some m -> m | None -> detect_mode program in
-  Interval_engine.run { Engine.mode; ncores; interference } program
+  Engine.run { Engine.mode; ncores; interference } program
 
 (* Re-exported report helpers, so consumers need only [Absint]. *)
 let diags_of = Report.diags_of

@@ -2,9 +2,8 @@ open Cfront
 
 (* Proof obligations and the domain-neutral analysis summary.
 
-   The engine renders intervals to strings before they leave the functor,
-   so sessions, reports and tests handle one concrete type regardless of
-   the numeric domain in use. *)
+   The engine renders intervals to strings before they leave it, so
+   sessions, reports and tests never handle {!Itv} values. *)
 
 type status =
   | Proved

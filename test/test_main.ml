@@ -34,4 +34,5 @@ let () =
       ("opt", Test_opt.suite);
       ("critpath", Test_critpath.suite);
       ("synth", Test_synth.suite);
+      ("cli", Test_cli.suite);
     ]
